@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from . import __version__
 from .casestudies import CASE_STUDY_IDS, case_study
-from .core import MarkovOU, ScenarioValidationError, validate_scenario
+from .core import MarkovOU, validate_scenario
 from .equilibrium import equilibrium_attack_probability
 from .montecarlo import (
     SimConfig,
@@ -383,16 +383,11 @@ def main(argv=None) -> int:
     args._argv = argv
     try:
         return args.handler(args)
-    except ScenarioParseError as exc:
+    except (ScenarioParseError, OSError, json.JSONDecodeError) as exc:
+        # JSONDecodeError is a ValueError, so this arm must come first
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except json.JSONDecodeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (ScenarioValidationError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

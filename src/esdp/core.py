@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, stats
 
 __all__ = [
     "harmonic_number",
@@ -45,6 +44,34 @@ def harmonic_number(n: int) -> float:
     if n <= 10 ** 6:
         return math.fsum(1.0 / i for i in range(1, n + 1))
     return math.log(n) + np.euler_gamma + 1.0 / (2.0 * n)
+
+
+_erfc = np.vectorize(math.erfc, otypes=[float])
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+_PANEL_WIDTH = 0.25
+
+
+def _log_cdf(*args: np.ndarray) -> np.ndarray:
+    """log(1 - sum of Q(a) over args), Q(a) = 1 - Phi(a) = erfc(a/sqrt 2)/2:
+    exact in the upper tail by log1p, and -inf where the sum rounds to 1."""
+    tail = sum(0.5 * _erfc(a / math.sqrt(2.0)) for a in args)
+    return np.log1p(-tail, out=np.full_like(tail, -np.inf), where=tail < 1.0)
+
+
+def _checked_quadrature(f, lo: float, hi: float) -> float:
+    """Integral of the vectorized `f` over [lo, hi] by composite 8-point
+    Gauss-Legendre at panel widths _PANEL_WIDTH and _PANEL_WIDTH/2; raises
+    ValueError when the two differ by more than 1e-9 relative."""
+    sums = []
+    for width in (_PANEL_WIDTH, 0.5 * _PANEL_WIDTH):
+        half = 0.5 * (hi - lo) / max(1, math.ceil((hi - lo) / width))
+        x = np.arange(lo + half, hi, 2.0 * half)[:, None] + half * _GL_NODES
+        sums.append(half * float(np.sum(_GL_WEIGHTS * f(x))))
+    coarse, fine = sums
+    if not abs(coarse - fine) <= 1e-9 * abs(fine):
+        raise ValueError(f"quadrature did not converge: {fine!r} at panel "
+                         f"width {0.5 * _PANEL_WIDTH}, {coarse!r} at {_PANEL_WIDTH}")
+    return fine
 
 
 @dataclass(frozen=True)
@@ -102,23 +129,11 @@ class RewardModel:
         raise NotImplementedError
 
     def expected_max(self, draws: int, horizon: float | None = None) -> float:
-        """E[max of `draws` i.i.d. rewards]; default integrates 1 - F(x)^G."""
-        if draws == 1:
-            return self.mean(horizon)
-        cdf = self._cdf_fn(horizon)
-        upper = self._upper_support(horizon)
-        value, _ = integrate.quad(lambda x: 1.0 - cdf(x) ** draws, 0.0, upper,
-                                  limit=200)
-        return value
+        """E[max of `draws` i.i.d. rewards]."""
+        raise NotImplementedError
 
     def violations(self) -> list[str]:
         return []
-
-    def _cdf_fn(self, horizon):
-        raise NotImplementedError(f"{self.kind} has no closed-form CDF")
-
-    def _upper_support(self, horizon):
-        raise NotImplementedError
 
 
 @dataclass(frozen=True)
@@ -193,6 +208,20 @@ class Lognormal(RewardModel):
         mu, sigma = self._underlying()
         return rng.lognormal(mu, sigma, size)
 
+    def expected_max(self, draws, horizon=None):
+        if draws == 1:
+            return self.mean_value
+        # integral of G x(z) phi(z) Phi(z)^(G-1) over z, x = exp(mu + sigma z);
+        # x(z) phi(z) = mean * phi(z - sigma) keeps the exponent finite
+        sigma = self._underlying()[1]
+        scale = draws * self.mean_value / math.sqrt(2.0 * math.pi)
+
+        def integrand(z):
+            return scale * np.exp((draws - 1) * _log_cdf(z) - (z - sigma) ** 2 / 2)
+
+        top = sigma + math.sqrt(2.0 * math.log(draws)) + 10.0
+        return _checked_quadrature(integrand, -12.0, top)
+
     def violations(self):
         out = []
         if not self.mean_value > 0.0:
@@ -201,15 +230,6 @@ class Lognormal(RewardModel):
             out.append(
                 f"lognormal variance must be > 0 (got {self.variance_value})")
         return out
-
-    def _cdf_fn(self, horizon):
-        mu, sigma = self._underlying()
-        dist = stats.lognorm(s=sigma, scale=math.exp(mu))
-        return dist.cdf
-
-    def _upper_support(self, horizon):
-        mu, sigma = self._underlying()
-        return math.exp(mu + 12.0 * sigma)
 
 
 @dataclass(frozen=True)
@@ -322,6 +342,26 @@ class MarkovOU(RewardModel):
         s = self.transition_std(horizon)
         return np.abs(rng.normal(m, s, size))
 
+    def expected_max(self, draws, horizon=None):
+        if draws == 1:
+            return self.mean(horizon)
+        if horizon is None:
+            raise ValueError("markov_ou reward needs an explicit horizon")
+        m = self.transition_mean(self.initial, horizon)
+        s = self.transition_std(horizon)
+        if s == 0.0:
+            return abs(m)
+        # integral of 1 - F^G over x >= 0 for the reflected law, in
+        # u = (x - m)/s where P(|X| > x) = Q(u) + Q(u + 2m/s); below u = -14,
+        # F^G < 1e-44 and the stretch adds its length exactly
+        lo = max(-m / s, -14.0)
+
+        def integrand(u):
+            return -np.expm1(draws * _log_cdf(u, u + 2.0 * m / s))
+
+        top = math.sqrt(2.0 * math.log(draws)) + 10.0
+        return m + s * (lo + _checked_quadrature(integrand, lo, top))
+
     def violations(self):
         out = []
         if not self.initial >= 0.0:
@@ -335,31 +375,6 @@ class MarkovOU(RewardModel):
         if not self.volatility >= 0.0:
             out.append(f"volatility must be >= 0 (got {self.volatility})")
         return out
-
-    def _cdf_fn(self, horizon):
-        h = self.honest_horizon_or(horizon)
-        m = self.transition_mean(self.initial, h)
-        s = self.transition_std(h)
-        if s == 0.0:
-            return lambda x: np.where(x >= m, 1.0, 0.0)
-
-        def cdf(x):
-            # reflected normal: P(|Z| <= x) for Z ~ N(m, s^2)
-            return stats.norm.cdf((x - m) / s) - stats.norm.cdf((-x - m) / s)
-
-        return cdf
-
-    def _upper_support(self, horizon):
-        h = self.honest_horizon_or(horizon)
-        return abs(self.transition_mean(self.initial, h)) + \
-            12.0 * self.transition_std(h)
-
-    @staticmethod
-    def honest_horizon_or(horizon):
-        if horizon is None:
-            raise ValueError(
-                "markov_ou reward needs an explicit horizon for draw moments")
-        return horizon
 
 
 #: Reward process used when a scenario only says "mean-reverting around 10 USD".

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .thresholds import linear_threshold
 
@@ -30,9 +29,6 @@ __all__ = [
     "strict_dominance_delay",
 ]
 
-# direct pmf recurrence is exact and fast at moderate n; the log-gamma form
-# avoids underflow of (1-p)^n for large n
-_RECURRENCE_MAX_N = 500
 _BISECTION_STEPS = 200
 
 
@@ -63,16 +59,11 @@ def attacker_payoff(attackers: int, expected_reward: float, cost_rate: float,
 
 
 def _binomial_pmf(n: int, p: float) -> np.ndarray:
-    """pmf of Binomial(n, p) over k = 0..n."""
-    if n <= _RECURRENCE_MAX_N and 0.0 < (1.0 - p) ** n:
-        pmf = np.empty(n + 1)
-        pmf[0] = (1.0 - p) ** n
-        ratio = p / (1.0 - p)
-        for k in range(n):
-            pmf[k + 1] = pmf[k] * (n - k) / (k + 1) * ratio
-        return pmf
+    """pmf of Binomial(n, p) over k = 0..n, in log space so that no term
+    passes through an underflowing (1-p)^n."""
     k = np.arange(n + 1)
-    log_pmf = (gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
+    log_factorial = np.array([math.lgamma(i + 1) for i in range(n + 1)])
+    log_pmf = (log_factorial[n] - log_factorial - log_factorial[::-1]
                + k * math.log(p) + (n - k) * math.log1p(-p))
     return np.exp(log_pmf)
 
@@ -92,8 +83,7 @@ def conditional_inverse_expectation(n: int, p: float) -> float:
         return 1.0  # K is identically 1 given K >= 1
     if p == 1.0:
         return 1.0 / n
-    pmf = _binomial_pmf(n, p)
-    numerator = math.fsum(pmf[k] / k for k in range(1, n + 1))
+    numerator = float(_binomial_pmf(n, p)[1:] @ (1.0 / np.arange(1, n + 1)))
     at_least_one = -math.expm1(n * math.log1p(-p))
     return numerator / at_least_one
 

@@ -15,10 +15,10 @@ with completion strictly before the honest reveal counting as success
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .core import Constant, MarkovOU, RewardModel, Scenario, validate_scenario
 
@@ -80,7 +80,7 @@ def _blocks(trials: int):
 
 
 def _z_value(confidence: float) -> float:
-    return float(stats.norm.ppf(0.5 * (1.0 + confidence)))
+    return statistics.NormalDist().inv_cdf(0.5 * (1.0 + confidence))
 
 
 @dataclass(frozen=True)

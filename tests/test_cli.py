@@ -1,8 +1,13 @@
 import json
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
+import esdp
+from esdp import core
 from esdp.cli import main
 
 BASELINE = """\
@@ -69,6 +74,18 @@ class TestThresholdCommand:
         rc = main(["threshold", str(bad)])
         assert rc == 2
         assert "speedup" in capsys.readouterr().err
+
+    def test_unconverged_quadrature_exits_two(self, tmp_path, monkeypatch,
+                                              capsys):
+        monkeypatch.setattr(core, "_PANEL_WIDTH", 4.0)
+        heavy = tmp_path / "heavy.scenario"
+        heavy.write_text(BASELINE.replace(
+            "reward.kind = exponential",
+            "reward.kind = lognormal\nreward.variance = 1e4\ngrinding_size = 16"))
+        assert main(["threshold", str(heavy), "--delay", "700"]) == 2
+        err = capsys.readouterr().err
+        assert "grinding: quadrature did not converge" in err
+        assert "Traceback" not in err
 
     def test_json_report_written(self, baseline_file, tmp_path, capsys):
         out_dir = tmp_path / "report"
@@ -227,3 +244,11 @@ class TestMiscellaneous:
         bad = tmp_path / "bad.json"
         bad.write_text("{nope")
         assert main(["rerun", str(bad)]) == 1
+
+    def test_import_loads_no_scipy(self):
+        code = ("import sys, esdp.cli; "
+                "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            check=True, cwd=Path(esdp.__file__).parents[1]).stdout
+        assert out.strip() == "[]"

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from esdp import core
 from esdp.core import (
     Bounded,
     Constant,
@@ -159,14 +160,22 @@ class TestRewardModels:
         assert draws.mean() == pytest.approx(10.0, abs=0.05)
         assert draws.var() == pytest.approx(25.0, rel=0.05)
 
-    def test_lognormal_expected_max_vs_sampling(self):
-        model = Lognormal(10.0, 25.0)
-        rng = np.random.default_rng(3)
-        draws = model.sample(rng, 4 * 200_000).reshape(200_000, 4)
-        maxima = draws.max(axis=1)
-        se = maxima.std(ddof=1) / math.sqrt(maxima.size)
-        assert model.expected_max(4) == pytest.approx(maxima.mean(),
-                                                      abs=3 * se)
+    @pytest.mark.parametrize("mean, variance, draws", [
+        (10.0, 25.0, 4), (10.0, 50.0, 1024), (10.0, 1e4, 16), (1.0, 1e6, 16)])
+    def test_lognormal_expected_max_vs_sampling(self, mean, variance, draws):
+        # E[max] = G E[X F(X)^(G-1)] = G mean E[F(Y)^(G-1)] with Y the
+        # size-biased draw: lognormal with the same sigma, log-location
+        # mu + sigma^2, so F(Y) = Phi(Z) for Z ~ N(sigma, 1). Its samples are
+        # bounded by G mean; plain maxima of a variance/mean^2 = 1e6 reward
+        # have a standard error of hundreds of means at any feasible size.
+        model = Lognormal(mean, variance)
+        sigma = math.sqrt(math.log1p(variance / mean ** 2))
+        z = np.random.default_rng(3).normal(sigma, 1.0, 400_000)
+        cdf = np.array([0.5 * math.erfc(-t / math.sqrt(2.0)) for t in z])
+        samples = draws * mean * cdf ** (draws - 1)
+        se = samples.std(ddof=1) / math.sqrt(samples.size)
+        assert model.expected_max(draws) == pytest.approx(samples.mean(),
+                                                          abs=3 * se)
 
     def test_empirical_expected_max_vs_sampling(self):
         model = Empirical((1.0, 5.0, 12.0, 30.0))
@@ -214,17 +223,30 @@ class TestRewardModels:
         draws = model.sample(rng, 200_000, horizon=50.0)
         assert draws.mean() > model.mean(horizon=50.0)
 
-    def test_markov_ou_expected_max_vs_sampling(self):
-        model = MarkovOU(10.0, 10.0, 0.1, 2.0)
-        rng = np.random.default_rng(6)
-        horizon = 30.0
-        m = model.transition_mean(10.0, horizon)
-        s = model.transition_std(horizon)
-        draws = np.abs(rng.normal(m, s, (200_000, 5)))
-        maxima = draws.max(axis=1)
+    @pytest.mark.parametrize("mean, variance, draws", [
+        (10.0, 20.0, 5), (0.0, 20.0, 16), (100.0, 20.0, 16), (10.0, 20.0, 1024)])
+    def test_markov_ou_expected_max_vs_sampling(self, mean, variance, draws):
+        # mean 0 puts half the law on the reflection at 0; mean 100 is more
+        # than 14 standard deviations above it, where the flat stretch is added
+        horizon, kappa = 30.0, 0.1
+        volatility = math.sqrt(
+            variance * 2.0 * kappa / -math.expm1(-2.0 * kappa * horizon))
+        model = MarkovOU(mean, mean, kappa, volatility)
+        assert model.variance(horizon) == pytest.approx(variance)
+        trials = 4_000_000 // draws
+        maxima = model.sample(np.random.default_rng(6), trials * draws,
+                              horizon).reshape(trials, draws).max(axis=1)
         se = maxima.std(ddof=1) / math.sqrt(maxima.size)
-        assert model.expected_max(5, horizon=horizon) == pytest.approx(
+        assert model.expected_max(draws, horizon=horizon) == pytest.approx(
             maxima.mean(), abs=3 * se)
+
+    @pytest.mark.parametrize("model, horizon", [
+        (Lognormal(10.0, 1e4), None), (MarkovOU(10.0, 10.0, 0.1, 2.0), 30.0)])
+    def test_expected_max_raises_when_panel_halving_disagrees(
+            self, monkeypatch, model, horizon):
+        monkeypatch.setattr(core, "_PANEL_WIDTH", 4.0)
+        with pytest.raises(ValueError, match="quadrature did not converge"):
+            model.expected_max(16, horizon=horizon)
 
     def test_markov_ou_needs_positive_reversion(self):
         assert MarkovOU(10.0, 10.0, 0.0, 2.0).violations()

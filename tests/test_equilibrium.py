@@ -86,6 +86,18 @@ class TestConditionalInverseExpectation:
         with pytest.raises(ValueError):
             conditional_inverse_expectation(5, 0.0)
 
+    def test_subnormal_no_attack_probability(self):
+        # (1-p)^n = 1e-323 is subnormal here; compare the telescoped identity
+        # E[1/K; K >= 1] = sum_j q^(n-j) (1 - q^j) / j, q = 1 - p
+        n, p = 355, 0.8774
+        log_q = math.log1p(-p)
+        telescoped = math.fsum(
+            math.exp((n - j) * log_q) * -math.expm1(j * log_q) / j
+            for j in range(1, n + 1)) / -math.expm1(n * log_q)
+        assert telescoped == pytest.approx(0.00321178, rel=1e-6)
+        assert conditional_inverse_expectation(n, p) == pytest.approx(
+            telescoped, rel=1e-12)
+
 
 class TestEquilibrium:
     def test_interior_two_thirds(self):

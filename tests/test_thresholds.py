@@ -4,10 +4,12 @@ import math
 import numpy as np
 import pytest
 
+from esdp import core
 from esdp.core import (
     Constant,
     EconomicEnvironment,
     Exponential,
+    Lognormal,
     MarkovOU,
     RewardModel,
     Scenario,
@@ -219,6 +221,26 @@ class TestGrinding:
         se = maxima.std(ddof=1) / math.sqrt(maxima.size)
         assert expected_max_exponential(10.0, 4) == pytest.approx(
             maxima.mean(), abs=3 * se)
+
+    def test_heavy_tailed_lognormal_grinding_is_insecure(self, baseline_env):
+        # variance/mean^2 = 100: E[max of 16 draws] = 103.07 USD, so grinding
+        # needs 3 / (0.05 * sqrt(16)) * 103.07 = 1546 s, far above 700 s
+        scenario = Scenario(baseline_env, Lognormal(10.0, 1e4),
+                            grinding_size=16, grinding_cost_exponent=0.5)
+        report = esdp(scenario, candidate_delay=700.0)
+        assert report.required_delays["grinding"] == pytest.approx(
+            1546.0548, rel=1e-6)
+        assert report.binding_condition == "grinding"
+        assert report.secure is False
+
+    def test_unconverged_quadrature_names_the_condition(self, baseline_env,
+                                                        monkeypatch):
+        monkeypatch.setattr(core, "_PANEL_WIDTH", 4.0)
+        scenario = Scenario(baseline_env, Lognormal(10.0, 1e4),
+                            grinding_size=16)
+        with pytest.raises(ValueError,
+                           match="^grinding: quadrature did not converge"):
+            esdp(scenario)
 
 
 class TestAbort:
