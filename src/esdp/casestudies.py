@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._csv import write_csv
 from .thresholds import (
     expected_max_exponential,
     expected_profit,
@@ -51,10 +52,9 @@ class CaseStudyOutput:
                 for name, unit in zip(self.column_names, self.column_units)]
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="\n") as handle:
-            handle.write(",".join(self.header()) + "\n")
-            for row in self.rows:
-                handle.write(",".join(f"{x:.17g}" for x in row) + "\n")
+        table = np.array(self.rows, dtype=float).reshape(
+            -1, len(self.column_names))
+        write_csv(path, self.header(), table.T)
 
     def to_json_dict(self) -> dict:
         return {

@@ -94,12 +94,14 @@ class EconomicEnvironment:
 
     def violations(self) -> list[str]:
         out = []
-        if not self.speedup >= 1.0:
-            out.append(f"speedup must be >= 1 (got {self.speedup})")
-        if not self.cost_rate > 0.0:
-            out.append(f"cost_rate must be > 0 (got {self.cost_rate})")
-        if not self.honest_delay > 0.0:
-            out.append(f"honest_delay must be > 0 (got {self.honest_delay})")
+        if not 1.0 <= self.speedup < math.inf:
+            out.append(f"speedup must be finite and >= 1 (got {self.speedup})")
+        if not 0.0 < self.cost_rate < math.inf:
+            out.append(
+                f"cost_rate must be finite and > 0 (got {self.cost_rate})")
+        if not 0.0 < self.honest_delay < math.inf:
+            out.append("honest_delay must be finite and > 0 "
+                       f"(got {self.honest_delay})")
         if not math.isfinite(self.seed_time):
             out.append(f"seed_time must be finite (got {self.seed_time})")
         return out
@@ -156,8 +158,8 @@ class Constant(RewardModel):
         return self.value
 
     def violations(self):
-        return [] if self.value >= 0.0 else [
-            f"reward value must be >= 0 (got {self.value})"]
+        return [] if 0.0 <= self.value < math.inf else [
+            f"reward value must be finite and >= 0 (got {self.value})"]
 
 
 @dataclass(frozen=True)
@@ -180,8 +182,8 @@ class Exponential(RewardModel):
         return self.mean_value * harmonic_number(draws)
 
     def violations(self):
-        return [] if self.mean_value >= 0.0 else [
-            f"reward mean must be >= 0 (got {self.mean_value})"]
+        return [] if 0.0 <= self.mean_value < math.inf else [
+            f"reward mean must be finite and >= 0 (got {self.mean_value})"]
 
 
 @dataclass(frozen=True)
@@ -224,11 +226,12 @@ class Lognormal(RewardModel):
 
     def violations(self):
         out = []
-        if not self.mean_value > 0.0:
-            out.append(f"lognormal mean must be > 0 (got {self.mean_value})")
-        if not self.variance_value > 0.0:
-            out.append(
-                f"lognormal variance must be > 0 (got {self.variance_value})")
+        if not 0.0 < self.mean_value < math.inf:
+            out.append("lognormal mean must be finite and > 0 "
+                       f"(got {self.mean_value})")
+        if not 0.0 < self.variance_value < math.inf:
+            out.append("lognormal variance must be finite and > 0 "
+                       f"(got {self.variance_value})")
         return out
 
 
@@ -260,8 +263,8 @@ class Empirical(RewardModel):
         out = []
         if len(self.samples) < 1:
             out.append("empirical reward requires at least one sample")
-        elif any(x < 0.0 for x in self.samples):
-            out.append("empirical samples must all be >= 0")
+        elif not all(0.0 <= x < math.inf for x in self.samples):
+            out.append("empirical samples must all be finite and >= 0")
         return out
 
 
@@ -287,8 +290,8 @@ class Bounded(RewardModel):
         return self.max_value
 
     def violations(self):
-        return [] if self.max_value >= 0.0 else [
-            f"reward bound must be >= 0 (got {self.max_value})"]
+        return [] if 0.0 <= self.max_value < math.inf else [
+            f"reward max must be finite and >= 0 (got {self.max_value})"]
 
 
 @dataclass(frozen=True)
@@ -364,16 +367,18 @@ class MarkovOU(RewardModel):
 
     def violations(self):
         out = []
-        if not self.initial >= 0.0:
-            out.append(f"initial reward must be >= 0 (got {self.initial})")
-        if not self.long_run_mean >= 0.0:
+        if not 0.0 <= self.initial < math.inf:
             out.append(
-                f"long_run_mean must be >= 0 (got {self.long_run_mean})")
-        if not self.reversion_rate > 0.0:
+                f"initial reward must be finite and >= 0 (got {self.initial})")
+        if not 0.0 <= self.long_run_mean < math.inf:
+            out.append("long_run_mean must be finite and >= 0 "
+                       f"(got {self.long_run_mean})")
+        if not 0.0 < self.reversion_rate < math.inf:
+            out.append("reversion_rate must be finite and > 0 "
+                       f"(got {self.reversion_rate})")
+        if not 0.0 <= self.volatility < math.inf:
             out.append(
-                f"reversion_rate must be > 0 (got {self.reversion_rate})")
-        if not self.volatility >= 0.0:
-            out.append(f"volatility must be >= 0 (got {self.volatility})")
+                f"volatility must be finite and >= 0 (got {self.volatility})")
         return out
 
 
@@ -427,8 +432,8 @@ def scenario_violations(s: Scenario) -> list[str]:
     if not 0.0 <= s.abort_probability < 1.0:
         out.append("abort_probability must be in [0, 1) "
                    f"(got {s.abort_probability}); 1/(1-p) must stay finite")
-    if any(m < 0.0 for m in s.protocol_means):
-        out.append("protocol_means must all be >= 0")
+    if not all(0.0 <= m < math.inf for m in s.protocol_means):
+        out.append("protocol_means must all be finite and >= 0")
     out += _positive_count(s.coalition_size, "coalition_size")
     out += _positive_count(s.players, "players")
     out += _positive_count(s.rounds, "rounds")

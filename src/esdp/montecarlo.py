@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._csv import write_csv
 from .core import Constant, MarkovOU, RewardModel, Scenario, validate_scenario
 
 __all__ = [
@@ -59,6 +60,8 @@ class SimConfig:
             out.append(f"time_step must be > 0 (got {self.time_step})")
         if not 0.0 < self.confidence < 1.0:
             out.append(f"confidence must be in (0, 1) (got {self.confidence})")
+        if not 0 <= self.seed < 2 ** 64:
+            out.append(f"seed must be in [0, 2**64) (got {self.seed})")
         return out
 
 
@@ -71,7 +74,7 @@ def _check_config(cfg: SimConfig) -> None:
 def _substream(seed: int, block: int) -> np.random.Generator:
     # distinct 128-bit Philox keys per (seed, block): independent streams
     return np.random.Generator(
-        np.random.Philox(key=(int(seed) & (2 ** 64 - 1)) + (block << 64)))
+        np.random.Philox(key=int(seed) + (block << 64)))
 
 
 def _blocks(trials: int):
@@ -347,8 +350,5 @@ def equilibrium_empirical_check(n: int, p: float,
 def write_trials_csv(path, profits, successes, stop_times) -> None:
     """Stream per-trial results as CSV with columns
     trial, profit(USD), success, stop_time(s)."""
-    with open(path, "w", newline="\n") as handle:
-        handle.write("trial,profit(USD),success,stop_time(s)\n")
-        for i, (profit, success, stop) in enumerate(
-                zip(profits, successes, stop_times)):
-            handle.write(f"{i},{profit:.17g},{int(success)},{stop:.17g}\n")
+    write_csv(path, ("trial", "profit(USD)", "success", "stop_time(s)"),
+              (np.arange(len(profits)), profits, successes, stop_times))

@@ -43,6 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._csv import write_csv
 from .core import Constant, MarkovOU, Scenario, validate_scenario
 
 __all__ = [
@@ -297,22 +298,14 @@ def extract_decision_boundary(pg: PolicyGrid) -> np.ndarray:
 
 def write_grid_csv(vg: ValueGrid, pg: PolicyGrid, path) -> None:
     """Dump the solved grid as CSV rows (s, v, t, J, compute)."""
-    s = np.broadcast_to(vg.s_values[:, None, None], vg.values.shape).ravel()
-    v = np.broadcast_to(vg.v_values[None, :, None], vg.values.shape).ravel()
-    t = np.broadcast_to(vg.t_values[None, None, :], vg.values.shape).ravel()
-    table = np.column_stack(
-        [s, v, t, vg.values.ravel(), pg.compute.ravel().astype(float)])
-    np.savetxt(path, table, fmt=["%.17g", "%.17g", "%.17g", "%.17g", "%d"],
-               delimiter=",", comments="",
-               header="s(s),v(USD),t(s),J(USD),compute")
+    write_csv(path, ("s(s)", "v(USD)", "t(s)", "J(USD)", "compute"),
+              (vg.s_values[:, None, None], vg.v_values[:, None], vg.t_values,
+               vg.values, pg.compute))
 
 
 def write_boundary_csv(boundary: np.ndarray, s_values: np.ndarray,
                        t_values: np.ndarray, path) -> None:
     """Dump a decision boundary as CSV rows (s, t, v_star); infeasible
     cells carry inf."""
-    s = np.broadcast_to(s_values[:, None], boundary.shape).ravel()
-    t = np.broadcast_to(t_values[None, :], boundary.shape).ravel()
-    table = np.column_stack([s, t, boundary.ravel()])
-    np.savetxt(path, table, fmt="%.17g", delimiter=",", comments="",
-               header="s(s),t(s),v_star(USD)")
+    write_csv(path, ("s(s)", "t(s)", "v_star(USD)"),
+              (s_values[:, None], t_values, boundary))

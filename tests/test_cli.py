@@ -27,6 +27,34 @@ reward.value = 10.0
 """
 
 
+OU = {"reward.kind": "markov_ou", "reward.initial": "10.0",
+      "reward.long_run_mean": "10.0", "reward.reversion_rate": "0.1",
+      "reward.volatility": "2.0"}
+
+# one non-finite field per scenario, and the name its error must carry
+NON_FINITE = [
+    ({"env.speedup": "inf"}, "speedup"),
+    ({"env.cost_rate": "nan"}, "cost_rate"),
+    ({"env.honest_delay": "inf"}, "honest_delay"),
+    ({"reward.kind": "constant", "reward.value": "inf"}, "value"),
+    ({"reward.mean": "inf"}, "mean"),
+    ({"reward.kind": "lognormal", "reward.mean": "10.0",
+      "reward.variance": "inf", "grinding_size": "4"}, "variance"),
+    ({"reward.kind": "lognormal", "reward.mean": "nan",
+      "reward.variance": "4.0"}, "mean"),
+    ({"reward.kind": "empirical", "reward.samples": "1.0, nan"}, "samples"),
+    ({"reward.kind": "empirical", "reward.samples": "1.0, inf"}, "samples"),
+    ({"reward.kind": "bounded", "reward.max": "inf"}, "max"),
+    ({**OU, "reward.initial": "inf"}, "initial"),
+    ({**OU, "reward.long_run_mean": "nan"}, "long_run_mean"),
+    ({**OU, "reward.reversion_rate": "inf"}, "reversion_rate"),
+    ({**OU, "reward.volatility": "inf"}, "volatility"),
+    ({"protocol_means": "nan, 5.0"}, "protocol_means"),
+    ({"abort_probability": "nan"}, "abort_probability"),
+    ({"grinding_cost_exponent": "inf"}, "grinding_cost_exponent"),
+]
+
+
 @pytest.fixture
 def baseline_file(tmp_path):
     path = tmp_path / "baseline.scenario"
@@ -74,6 +102,21 @@ class TestThresholdCommand:
         rc = main(["threshold", str(bad)])
         assert rc == 2
         assert "speedup" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fields, name", NON_FINITE)
+    def test_non_finite_value_names_field(self, fields, name, tmp_path,
+                                          capsys):
+        keys = {"env.speedup": "3.0", "env.cost_rate": "0.05",
+                "env.honest_delay": "600.0"}
+        if "reward.kind" not in fields:
+            keys.update({"reward.kind": "exponential", "reward.mean": "10.0"})
+        keys.update(fields)
+        bad = tmp_path / "bad.scenario"
+        bad.write_text("".join(f"{k} = {v}\n" for k, v in keys.items()))
+        assert main(["threshold", str(bad), "--delay", "700"]) == 2
+        err = capsys.readouterr().err
+        assert name in err
+        assert "Traceback" not in err
 
     def test_unconverged_quadrature_exits_two(self, tmp_path, monkeypatch,
                                               capsys):
@@ -168,6 +211,17 @@ class TestSimulateCommand:
 
     def test_zero_trials_rejected(self, baseline_file):
         assert main(["simulate", baseline_file, "--trials", "0"]) == 2
+
+    @pytest.mark.parametrize("seed, code", [
+        (-1, 2), (2 ** 64, 2), (2 ** 64 - 1, 0)])
+    def test_seed_range(self, baseline_file, seed, code, capsys):
+        assert main(["simulate", baseline_file, "--trials", "10",
+                     "--seed", str(seed)]) == code
+        captured = capsys.readouterr()
+        if code == 2:
+            assert "seed must be in [0, 2**64)" in captured.err
+        else:
+            assert f"seed: {seed}" in captured.out
 
     def test_csv_and_manifest_outputs(self, baseline_file, tmp_path):
         out_dir = tmp_path / "sim"

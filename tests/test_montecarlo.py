@@ -259,3 +259,19 @@ def test_trials_csv_round_trip(tmp_path):
     assert lines[0] == "trial,profit(USD),success,stop_time(s)"
     assert lines[1] == "0,1.5,1,200"
     assert lines[2] == "1,-0.25,0,600"
+
+    # 2*4096+3 rows cross two block edges; the per-row loop that
+    # write_trials_csv replaced is the oracle
+    edges = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 2.0 ** 70,
+                      1.5, -0.1, 1 / 3])
+    rows = 2 * 4096 + 3
+    profits = np.resize(edges, rows)
+    successes = np.random.default_rng(0).random(rows) < 0.5
+    stop_times = np.resize(edges[::-1], rows)
+    write_trials_csv(path, profits, successes, stop_times)
+    with open(tmp_path / "old.csv", "w", newline="\n") as handle:
+        handle.write("trial,profit(USD),success,stop_time(s)\n")
+        for i, (profit, success, stop) in enumerate(
+                zip(profits, successes, stop_times)):
+            handle.write(f"{i},{profit:.17g},{int(success)},{stop:.17g}\n")
+    assert path.read_bytes() == (tmp_path / "old.csv").read_bytes()

@@ -13,6 +13,8 @@ from esdp.core import (
 )
 from esdp.stopping import (
     GridSpec,
+    PolicyGrid,
+    ValueGrid,
     check_threshold_structure,
     extract_decision_boundary,
     initial_security_verdict,
@@ -284,3 +286,52 @@ class TestCsvExport:
         boundary_lines = boundary_path.read_text().splitlines()
         assert boundary_lines[0] == "s(s),t(s),v_star(USD)"
         assert len(boundary_lines) == 1 + boundary.size
+        assert_grid_bytes_match(vg, pg, tmp_path)
+
+    def test_grid_bytes_match_savetxt_at_edges(self, tmp_path):
+        # 2*4096+3 rows cross two block edges; J is a transposed view,
+        # as solve() returns it
+        shape = (5, 11, 149)
+        values = np.moveaxis(np.resize(EDGE_VALUES, (149, 5, 11)), 0, 2)
+        compute = np.random.default_rng(0).random(shape) < 0.5
+        axes = (np.resize(EDGE_VALUES, n) for n in shape)
+        vg = ValueGrid(values, *axes, spec=None, scenario=None)
+        pg = PolicyGrid(compute, vg.s_values, vg.v_values, vg.t_values,
+                        spec=None, scenario=None)
+        assert values.size == 2 * 4096 + 3
+        assert_grid_bytes_match(vg, pg, tmp_path)
+
+    def test_boundary_bytes_match_savetxt(self, tmp_path):
+        s_values, t_values = EDGE_VALUES[:5], np.arange(1639.0) - 800.0
+        boundary = np.resize(EDGE_VALUES, (5, 1639))
+        assert boundary.size == 2 * 4096 + 3
+        write_boundary_csv(boundary, s_values, t_values, tmp_path / "new.csv")
+        s = np.broadcast_to(s_values[:, None], boundary.shape).ravel()
+        t = np.broadcast_to(t_values[None, :], boundary.shape).ravel()
+        np.savetxt(tmp_path / "old.csv",
+                   np.column_stack([s, t, boundary.ravel()]), fmt="%.17g",
+                   delimiter=",", comments="",
+                   header="s(s),t(s),v_star(USD)")
+        assert (tmp_path / "new.csv").read_bytes() == \
+            (tmp_path / "old.csv").read_bytes()
+
+
+EDGE_VALUES = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324,
+                        2.0 ** 70, 1.5, -0.1, 1 / 3])
+
+
+def assert_grid_bytes_match(vg, pg, tmp_path):
+    """write_grid_csv against the np.savetxt writer it replaced."""
+    write_grid_csv(vg, pg, tmp_path / "new.csv")
+    shape = vg.values.shape
+    s = np.broadcast_to(vg.s_values[:, None, None], shape).ravel()
+    v = np.broadcast_to(vg.v_values[None, :, None], shape).ravel()
+    t = np.broadcast_to(vg.t_values[None, None, :], shape).ravel()
+    table = np.column_stack(
+        [s, v, t, vg.values.ravel(), pg.compute.ravel().astype(float)])
+    np.savetxt(tmp_path / "old.csv", table,
+               fmt=["%.17g", "%.17g", "%.17g", "%.17g", "%d"],
+               delimiter=",", comments="",
+               header="s(s),v(USD),t(s),J(USD),compute")
+    assert (tmp_path / "new.csv").read_bytes() == \
+        (tmp_path / "old.csv").read_bytes()
