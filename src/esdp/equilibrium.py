@@ -14,6 +14,7 @@ The left side falls continuously from E[V] (as p -> 0) toward E[V]/n
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -58,14 +59,26 @@ def attacker_payoff(attackers: int, expected_reward: float, cost_rate: float,
     return expected_reward / attackers - cost_rate * delay / speedup
 
 
+@functools.lru_cache(maxsize=1)
+def _binomial_row(n: int) -> tuple[np.ndarray, ...]:
+    """The p-independent half of Binomial(n, p) over k = 0..n: log C(n, k),
+    k, n - k, and the weights 1/k over k = 1..n. Every bisection step of a
+    solve shares n, so one cached row serves the whole solve; the arrays
+    are read-only because the cache hands out the same ones each time."""
+    k = np.arange(n + 1, dtype=float)
+    log_factorial = np.array([math.lgamma(i + 1) for i in range(n + 1)])
+    row = (log_factorial[n] - log_factorial - log_factorial[::-1],
+           k, n - k, 1.0 / k[1:])
+    for array in row:
+        array.flags.writeable = False
+    return row
+
+
 def _binomial_pmf(n: int, p: float) -> np.ndarray:
     """pmf of Binomial(n, p) over k = 0..n, in log space so that no term
     passes through an underflowing (1-p)^n."""
-    k = np.arange(n + 1)
-    log_factorial = np.array([math.lgamma(i + 1) for i in range(n + 1)])
-    log_pmf = (log_factorial[n] - log_factorial - log_factorial[::-1]
-               + k * math.log(p) + (n - k) * math.log1p(-p))
-    return np.exp(log_pmf)
+    log_choose, k, n_minus_k, _ = _binomial_row(n)
+    return np.exp(log_choose + k * math.log(p) + n_minus_k * math.log1p(-p))
 
 
 def conditional_inverse_expectation(n: int, p: float) -> float:
@@ -83,7 +96,7 @@ def conditional_inverse_expectation(n: int, p: float) -> float:
         return 1.0  # K is identically 1 given K >= 1
     if p == 1.0:
         return 1.0 / n
-    numerator = float(_binomial_pmf(n, p)[1:] @ (1.0 / np.arange(1, n + 1)))
+    numerator = float(_binomial_pmf(n, p)[1:] @ _binomial_row(n)[3])
     at_least_one = -math.expm1(n * math.log1p(-p))
     return numerator / at_least_one
 
@@ -100,9 +113,15 @@ def equilibrium_attack_probability(n: int, expected_reward: float,
     """
     if n < 1:
         raise ValueError(f"n must be >= 1 (got {n})")
-    if expected_reward < 0.0:
+    if not 0.0 <= expected_reward < math.inf:
         raise ValueError(
-            f"expected_reward must be >= 0 (got {expected_reward})")
+            f"expected_reward must be finite and >= 0 (got {expected_reward})")
+    if not 0.0 < cost_rate < math.inf:
+        raise ValueError(f"cost_rate must be finite and > 0 (got {cost_rate})")
+    if not 0.0 < delay < math.inf:
+        raise ValueError(f"delay must be finite and > 0 (got {delay})")
+    if not 1.0 <= speedup < math.inf:
+        raise ValueError(f"speedup must be finite and >= 1 (got {speedup})")
     cost = cost_rate * delay / speedup
 
     if expected_reward <= cost:

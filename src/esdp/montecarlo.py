@@ -202,8 +202,8 @@ def commit_profit_samples(scenario: Scenario, cfg: SimConfig,
     _check_config(cfg)
     env = scenario.env
     T = env.honest_delay if delay is None else delay
-    if not T > 0.0:
-        raise ValueError(f"delay must be > 0 (got {T})")
+    if not 0.0 < T < math.inf:
+        raise ValueError(f"delay must be finite and > 0 (got {T})")
     cost = env.cost_rate * T / env.speedup
     succeeds = env.speedup > 1.0  # completion at T/speedup < T
 

@@ -21,7 +21,8 @@ reward dimension. The reward axis spans [0, reward_max] with clamped
 (absorbing) transitions beyond the top; that truncation can only lower J,
 i.e. it is conservative for the attacker and anti-conservative for the
 defender, so reward_max defaults generously (10x stationary mean + 5
-stationary standard deviations). Mean-reverting reward transitions use
+stationary standard deviations, or 10x the initial reward + 5 when the
+path starts above that). Mean-reverting reward transitions use
 the exact one-step Gaussian law reflected at 0, integrated by
 Gauss-Hermite quadrature and linearly interpolated back onto the grid.
 
@@ -137,7 +138,10 @@ class StructureReport:
 def _default_reward_max(model) -> float:
     if isinstance(model, Constant):
         return 10.0 * model.value
-    return 10.0 * model.long_run_mean + 5.0 * model.stationary_std()
+    std = model.stationary_std()
+    top = 10.0 * model.long_run_mean + 5.0 * std
+    # a path starting above that axis gets the same headroom over its start
+    return top if model.initial <= top else 10.0 * model.initial + 5.0 * std
 
 
 def _transition_matrix(model: MarkovOU, v_values: np.ndarray, dt: float,
@@ -207,8 +211,9 @@ def solve(scenario: Scenario, grid: GridSpec) -> tuple[ValueGrid, PolicyGrid]:
 
     reward_max = grid.reward_max if grid.reward_max is not None \
         else _default_reward_max(model)
-    if reward_max < 0.0:
-        raise ValueError(f"reward_max must be >= 0 (got {reward_max})")
+    if not 0.0 <= reward_max < math.inf:
+        raise ValueError(
+            f"reward_max must be finite and >= 0 (got {reward_max})")
     initial = model.initial if isinstance(model, MarkovOU) else model.value
     if initial > reward_max:
         raise ValueError(

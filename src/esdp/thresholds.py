@@ -243,6 +243,9 @@ def esdp(scenario: Scenario,
     rule. With `candidate_delay` given, the verdict is secure iff the
     candidate is at or above the ESDP (secure at exact equality).
     """
+    if candidate_delay is not None and not 0.0 <= candidate_delay < math.inf:
+        raise ValueError(
+            f"candidate_delay must be finite and >= 0 (got {candidate_delay})")
     scenario = validate_scenario(scenario)
     env = scenario.env
     horizon = env.honest_delay

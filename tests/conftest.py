@@ -1,6 +1,11 @@
 import pytest
+from hypothesis import settings
 
 from esdp.core import Constant, EconomicEnvironment, Scenario
+
+# the same examples on every run, and no per-example deadline on slow hosts
+settings.register_profile("deterministic", derandomize=True, deadline=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture

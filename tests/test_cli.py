@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -5,6 +7,8 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import esdp
 from esdp import core
@@ -54,6 +58,16 @@ NON_FINITE = [
     ({"grinding_cost_exponent": "inf"}, "grinding_cost_exponent"),
 ]
 
+# one out-of-range command-line number per argv, and the name its error
+# must carry; the scenario file goes in after the subcommand
+BAD_CLI_NUMBERS = [
+    (BASELINE, ["equilibrium", "--players", "3", "--delay", "nan"], "delay"),
+    (BASELINE, ["equilibrium", "--players", "3", "--delay", "-5"], "delay"),
+    (CONSTANT_300, ["solve", "--dt", "5", "--vmax", "inf"], "reward_max"),
+    (BASELINE, ["simulate", "--trials", "10", "--delay", "inf"], "delay"),
+    (BASELINE, ["threshold", "--delay", "nan"], "candidate_delay"),
+]
+
 
 @pytest.fixture
 def baseline_file(tmp_path):
@@ -67,6 +81,39 @@ def constant_300_file(tmp_path):
     path = tmp_path / "fast.scenario"
     path.write_text(CONSTANT_300)
     return str(path)
+
+
+@pytest.mark.parametrize("text, argv, name", BAD_CLI_NUMBERS,
+                         ids=[" ".join(argv) for _, argv, _ in BAD_CLI_NUMBERS])
+def test_bad_cli_number_names_field(text, argv, name, tmp_path, capsys):
+    scenario = tmp_path / "s.scenario"
+    scenario.write_text(text)
+    rc = main([argv[0], str(scenario), *argv[1:], "--out", str(tmp_path / "o")])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert name in captured.err
+    assert "Traceback" not in captured.err
+    assert not (tmp_path / "o" / "manifest.json").exists()
+
+
+@pytest.fixture(scope="module")
+def module_baseline_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("any_delay") / "baseline.scenario"
+    path.write_text(BASELINE + "players = 5\n")
+    return str(path)
+
+
+@given(delay=st.floats(allow_nan=True, allow_infinity=True))
+def test_any_delay_keeps_the_exit_code_contract(module_baseline_file, delay):
+    for argv in (["threshold"], ["equilibrium"],
+                 ["simulate", "--trials", "100"]):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            rc = main([argv[0], module_baseline_file, *argv[1:],
+                       f"--delay={delay!r}"])
+        assert rc in (0, 1, 2, 3)
+        assert "Traceback" not in err.getvalue()
 
 
 class TestThresholdCommand:

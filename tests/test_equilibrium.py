@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from esdp import equilibrium
 from esdp.equilibrium import (
+    EquilibriumResult,
     attacker_payoff,
     conditional_inverse_expectation,
     equilibrium_attack_probability,
@@ -21,6 +25,56 @@ def enumerate_conditional_inverse(n, p):
         num.append(weight / k)
         den.append(weight)
     return math.fsum(num) / math.fsum(den)
+
+
+def oracle_binomial_pmf(n, p):
+    """The pmf as it was built per call before the p-independent row was
+    cached: the cached row must reproduce it bit for bit."""
+    k = np.arange(n + 1)
+    log_factorial = np.array([math.lgamma(i + 1) for i in range(n + 1)])
+    log_pmf = (log_factorial[n] - log_factorial - log_factorial[::-1]
+               + k * math.log(p) + (n - k) * math.log1p(-p))
+    return np.exp(log_pmf)
+
+
+def oracle_conditional_inverse(n, p):
+    if n == 1:
+        return 1.0
+    if p == 1.0:
+        return 1.0 / n
+    numerator = float(oracle_binomial_pmf(n, p)[1:]
+                      @ (1.0 / np.arange(1, n + 1)))
+    return numerator / -math.expm1(n * math.log1p(-p))
+
+
+def oracle_equilibrium(n, expected_reward, cost_rate, delay, speedup):
+    """200-step bisection on [1e-12, 1] over the oracle pmf."""
+    cost = cost_rate * delay / speedup
+    if expected_reward <= cost:
+        return EquilibriumResult(0.0, 0.0, 0.0, "no-attack")
+
+    def gap(p):
+        return oracle_conditional_inverse(n, p) * expected_reward - cost
+
+    full = gap(1.0)
+    if full > 0.0:
+        return EquilibriumResult(1.0, float(n), full, "saturated", abs(full))
+    lo, hi = 1e-12, 1.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        value = gap(mid)
+        if value == 0.0:
+            lo = hi = mid
+            break
+        if value > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    p_star = 0.5 * (lo + hi)
+    return EquilibriumResult(p_star, n * p_star, 0.0, "interior",
+                             abs(gap(p_star)))
 
 
 class TestAttackerPayoff:
@@ -98,6 +152,24 @@ class TestConditionalInverseExpectation:
         assert conditional_inverse_expectation(n, p) == pytest.approx(
             telescoped, rel=1e-12)
 
+    @pytest.mark.parametrize("n", [2, 3, 50, 355, 501, 2000, 5000])
+    def test_bit_identical_to_per_call_pmf(self, n):
+        for p in (1e-12, 1e-6, 0.01, 0.3, 0.8774, 1.0 - 1e-9):
+            assert conditional_inverse_expectation(n, p) == \
+                oracle_conditional_inverse(n, p)
+
+    @given(n=st.integers(1, 5000), extra=st.integers(0, 100),
+           p=st.floats(0.0, 1.0, exclude_min=True),
+           q=st.floats(0.0, 1.0, exclude_min=True))
+    def test_range_and_monotonicity_properties(self, n, extra, p, q):
+        # 1e-10 covers the rounding of the log-space pmf (<= 7e-12 at n=5000)
+        slack = 1.0 + 1e-10
+        p, q = min(p, q), max(p, q)
+        value = conditional_inverse_expectation(n, p)
+        assert 1.0 / n / slack <= value <= slack
+        assert conditional_inverse_expectation(n, q) <= value * slack
+        assert conditional_inverse_expectation(n + extra, p) <= value * slack
+
 
 class TestEquilibrium:
     def test_interior_two_thirds(self):
@@ -162,3 +234,49 @@ class TestEquilibrium:
     def test_zero_reward_never_attacks(self):
         result = equilibrium_attack_probability(4, 0.0, 0.05, 100.0, 3.0)
         assert result.regime == "no-attack"
+
+    def test_bit_identical_to_oracle_bisection(self):
+        rng = np.random.default_rng(4)
+        regimes = {"no-attack": 0, "interior": 0, "saturated": 0}
+        for _ in range(200):
+            n = int(round(math.exp(rng.uniform(0.0, math.log(5000.0)))))
+            reward = float(rng.uniform(0.5, 100.0))
+            cost_rate = float(rng.uniform(0.01, 1.0))
+            speedup = float(rng.uniform(1.0, 8.0))
+            # cost / reward log-uniform from half the saturation edge 1/n
+            # to twice the no-attack edge 1
+            ratio = math.exp(rng.uniform(math.log(0.5 / n), math.log(2.0)))
+            delay = ratio * reward * speedup / cost_rate
+            args = (n, reward, cost_rate, delay, speedup)
+            result = equilibrium_attack_probability(*args)
+            assert result == oracle_equilibrium(*args)
+            regimes[result.regime] += 1
+        assert min(regimes.values()) >= 10, regimes
+
+    def test_a_solve_builds_the_binomial_row_once(self):
+        row = equilibrium._binomial_row
+        row.cache_clear()
+        result = equilibrium_attack_probability(4001, 10.0, 0.05, 400.0, 3.0)
+        assert result.regime == "interior"
+        info = row.cache_info()
+        assert info.misses == 1
+        assert info.hits >= 40
+        for array in row(4001):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+    @pytest.mark.parametrize("field, args", [
+        ("expected_reward", (3, math.inf, 0.05, 600.0, 3.0)),
+        ("expected_reward", (3, math.nan, 0.05, 600.0, 3.0)),
+        ("cost_rate", (3, 10.0, 0.0, 600.0, 3.0)),
+        ("cost_rate", (3, 10.0, math.inf, 600.0, 3.0)),
+        ("delay", (3, 10.0, 0.05, math.nan, 3.0)),
+        ("delay", (3, 10.0, 0.05, -5.0, 3.0)),
+        ("delay", (3, 10.0, 0.05, 0.0, 3.0)),
+        ("speedup", (3, 10.0, 0.05, 600.0, 0.5)),
+        ("speedup", (3, 10.0, 0.05, 600.0, math.nan)),
+    ])
+    def test_out_of_range_input_names_the_argument(self, field, args):
+        with pytest.raises(ValueError, match=field):
+            equilibrium_attack_probability(*args)

@@ -258,6 +258,16 @@ class TestInputChecks:
         with pytest.raises(ValueError, match="reward_max"):
             solve(scenario, GridSpec(time_step=1.0, reward_max=5.0))
 
+    # 10 x long-run mean + 5 stationary std is 18.0 here: a start of 27.3
+    # lies above it and gets 10 x itself + 5 std instead
+    @pytest.mark.parametrize("initial, scaled", [(1.5, 1.03), (27.3, 27.3)])
+    def test_default_axis_covers_the_initial_reward(self, baseline_env,
+                                                    initial, scaled):
+        model = MarkovOU(initial, 1.03, 0.32, 1.24)
+        vg, _ = solve(Scenario(baseline_env, model),
+                      GridSpec(time_step=10.0, reward_points=21))
+        assert vg.v_values[-1] == 10.0 * scaled + 5.0 * model.stationary_std()
+
     def test_invalid_scenario_rejected(self):
         env = EconomicEnvironment(0.5, 0.05, 600.0)
         with pytest.raises(ValueError, match="speedup"):
