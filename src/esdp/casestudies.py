@@ -8,7 +8,6 @@ Baseline economics for studies 1-3: a factor-3 hardware speedup rented at
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,11 +65,6 @@ class CaseStudyOutput:
                           for label, value, unit in self.headlines],
             "notes": list(self.notes),
         }
-
-    def write_json(self, path) -> None:
-        with open(path, "w", newline="\n") as handle:
-            json.dump(self.to_json_dict(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
 
 
 def _sorted_rows(rows) -> tuple[tuple[float, ...], ...]:

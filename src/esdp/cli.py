@@ -19,11 +19,11 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict
 
 from . import __version__
 from .casestudies import CASE_STUDY_IDS, case_study
-from .core import MarkovOU, validate_scenario
+from .core import validate_scenario
 from .equilibrium import equilibrium_attack_probability
 from .montecarlo import (
     SimConfig,
@@ -48,7 +48,7 @@ from .stopping import (
 from .svg import render_line_chart
 from .thresholds import esdp
 
-__all__ = ["main", "entrypoint", "RunManifest"]
+__all__ = ["main", "entrypoint"]
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -56,33 +56,6 @@ EXIT_INVALID = 2
 EXIT_INSECURE = 3
 
 _OUT_ENV_VAR = "ESDP_OUT_DIR"  # optional default for --out
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Record of one run: enough to reproduce its outputs exactly."""
-
-    subcommand: str
-    argv: tuple[str, ...]
-    scenario: str | None
-    grid: dict | None
-    sim: dict | None
-    seed: int | None
-    version: str
-    outputs: tuple[str, ...]
-
-    def to_json(self) -> str:
-        payload = {
-            "subcommand": self.subcommand,
-            "argv": list(self.argv),
-            "scenario": self.scenario,
-            "grid": self.grid,
-            "sim": self.sim,
-            "seed": self.seed,
-            "version": self.version,
-            "outputs": list(self.outputs),
-        }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def _fmt(value: float) -> str:
@@ -94,19 +67,38 @@ def _write(path: str, text: str) -> None:
         handle.write(text)
 
 
-def _write_json(path: str, payload: dict) -> None:
-    _write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def _json(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _emit(out_dir: str, manifest: RunManifest) -> None:
-    _write(os.path.join(out_dir, "manifest.json"), manifest.to_json())
-
-
-def _resolve_out(args) -> str | None:
-    out = args.out if args.out is not None else os.environ.get(_OUT_ENV_VAR)
+def _resolve_out(args, default=None) -> str | None:
+    out = args.out if args.out is not None \
+        else os.environ.get(_OUT_ENV_VAR, default)
     if out is not None:
         os.makedirs(out, exist_ok=True)
     return out
+
+
+def _save(args, out_dir, outputs, scenario=None, grid=None, sim=None,
+          seed=None) -> None:
+    """Write each output, given as its text or as a writer that takes the
+    file's path, then manifest.json: enough to reproduce them exactly."""
+    for name, content in outputs.items():
+        path = os.path.join(out_dir, name)
+        if callable(content):
+            content(path)
+        else:
+            _write(path, content)
+    _write(os.path.join(out_dir, "manifest.json"), _json({
+        "subcommand": args.subcommand,
+        "argv": args._argv,
+        "scenario": None if scenario is None else serialize_scenario(scenario),
+        "grid": grid,
+        "sim": sim,
+        "seed": seed,
+        "version": __version__,
+        "outputs": list(outputs),
+    }))
 
 
 def _cmd_threshold(args) -> int:
@@ -123,19 +115,13 @@ def _cmd_threshold(args) -> int:
 
     out_dir = _resolve_out(args)
     if out_dir is not None:
-        report_path = os.path.join(out_dir, "threshold_report.json")
-        _write_json(report_path, {
+        _save(args, out_dir, {"threshold_report.json": _json({
             "required_delays_s": report.required_delays,
             "binding_condition": report.binding_condition,
             "esdp_s": report.esdp,
             "evaluated_delay_s": report.evaluated_delay,
             "secure": report.secure,
-        })
-        _emit(out_dir, RunManifest(
-            subcommand="threshold", argv=tuple(args._argv),
-            scenario=serialize_scenario(scenario), grid=None, sim=None,
-            seed=None, version=__version__,
-            outputs=("threshold_report.json",)))
+        })}, scenario=scenario)
     if report.secure is False:
         return EXIT_INSECURE
     return EXIT_OK
@@ -158,7 +144,7 @@ def _cmd_equilibrium(args) -> int:
 
     out_dir = _resolve_out(args)
     if out_dir is not None:
-        _write_json(os.path.join(out_dir, "equilibrium.json"), {
+        _save(args, out_dir, {"equilibrium.json": _json({
             "players": players,
             "delay_s": delay,
             "expected_reward_USD": expected_reward,
@@ -167,11 +153,7 @@ def _cmd_equilibrium(args) -> int:
             "expected_attackers": result.expected_attackers,
             "per_attacker_profit_USD": result.per_attacker_profit,
             "residual": result.residual,
-        })
-        _emit(out_dir, RunManifest(
-            subcommand="equilibrium", argv=tuple(args._argv),
-            scenario=serialize_scenario(scenario), grid=None, sim=None,
-            seed=None, version=__version__, outputs=("equilibrium.json",)))
+        })}, scenario=scenario)
     return EXIT_OK
 
 
@@ -182,8 +164,7 @@ def _cmd_solve(args) -> int:
     grid = GridSpec(time_step=dt, reward_points=args.vpoints,
                     reward_max=args.vmax, quadrature_nodes=args.nodes)
     value_grid, policy_grid = solve(scenario, grid)
-    model = scenario.reward
-    v0 = model.initial if isinstance(model, MarkovOU) else model.value
+    v0 = scenario.reward.mean()
     j0 = initial_value(value_grid, v0)
     verdict = initial_security_verdict(value_grid)
     secure = j0 <= verdict.tolerance
@@ -193,22 +174,13 @@ def _cmd_solve(args) -> int:
     if verdict.flip_reward is not None:
         print(f"smallest insecure grid reward: {_fmt(verdict.flip_reward)} USD")
 
-    out_dir = _resolve_out(args) or "."
-    os.makedirs(out_dir, exist_ok=True)
-    write_grid_csv(value_grid, policy_grid,
-                   os.path.join(out_dir, "value_grid.csv"))
     boundary = extract_decision_boundary(policy_grid)
-    write_boundary_csv(boundary, policy_grid.s_values, policy_grid.t_values,
-                       os.path.join(out_dir, "boundary.csv"))
-    _emit(out_dir, RunManifest(
-        subcommand="solve", argv=tuple(args._argv),
-        scenario=serialize_scenario(scenario),
-        grid={"time_step": grid.time_step,
-              "reward_points": grid.reward_points,
-              "reward_max": grid.reward_max,
-              "quadrature_nodes": grid.quadrature_nodes},
-        sim=None, seed=None, version=__version__,
-        outputs=("value_grid.csv", "boundary.csv")))
+    _save(args, _resolve_out(args, "."), {
+        "value_grid.csv":
+            lambda path: write_grid_csv(value_grid, policy_grid, path),
+        "boundary.csv": lambda path: write_boundary_csv(
+            boundary, policy_grid.s_values, policy_grid.t_values, path),
+    }, scenario=scenario, grid=asdict(grid))
     return EXIT_OK if secure else EXIT_INSECURE
 
 
@@ -229,25 +201,21 @@ def _cmd_simulate(args) -> int:
 
     out_dir = _resolve_out(args)
     if out_dir is not None:
-        outputs = ["profit_estimate.json"]
-        _write_json(os.path.join(out_dir, "profit_estimate.json"), {
+        outputs = {"profit_estimate.json": _json({
             "mean_USD": estimate.mean,
             "std_error_USD": estimate.std_error,
             "confidence": cfg.confidence,
             "confidence_interval_USD": list(estimate.confidence_interval),
             "positive_profit_fraction": estimate.positive_profit_fraction,
             "trials": cfg.trials,
-        })
+        })}
         if args.csv:
-            write_trials_csv(os.path.join(out_dir, "trials.csv"),
-                             profits, successes, stop_times)
-            outputs.append("trials.csv")
-        _emit(out_dir, RunManifest(
-            subcommand="simulate", argv=tuple(args._argv),
-            scenario=serialize_scenario(scenario), grid=None,
-            sim={"trials": cfg.trials, "time_step": cfg.time_step,
-                 "confidence": cfg.confidence},
-            seed=cfg.seed, version=__version__, outputs=tuple(outputs)))
+            outputs["trials.csv"] = lambda path: write_trials_csv(
+                path, profits, successes, stop_times)
+        _save(args, out_dir, outputs, scenario=scenario,
+              sim={"trials": cfg.trials, "time_step": cfg.time_step,
+                   "confidence": cfg.confidence},
+              seed=cfg.seed)
     return EXIT_OK
 
 
@@ -264,37 +232,30 @@ def _cmd_casestudy(args) -> int:
     output = case_study(args.id)
     for label, value, unit in output.headlines:
         print(f"{label}: {_fmt(value)} {unit}")
-    out_dir = _resolve_out(args) or "."
-    os.makedirs(out_dir, exist_ok=True)
     base = f"case{args.id}"
-    output.to_csv(os.path.join(out_dir, f"{base}.csv"))
-    output.write_json(os.path.join(out_dir, f"{base}.json"))
-    outputs = [f"{base}.csv", f"{base}.json"]
+    outputs = {f"{base}.csv": output.to_csv,
+               f"{base}.json": _json(output.to_json_dict())}
     if args.svg:
         xs = [row[0] for row in output.rows]
         series = [(f"{name} ({unit})", xs, [row[i + 1] for row in output.rows])
                   for i, (name, unit)
                   in enumerate(zip(output.column_names[1:],
                                    output.column_units[1:]))]
-        chart = render_line_chart(
+        outputs[f"{base}.svg"] = render_line_chart(
             series, title=output.name,
             x_label=_CASE_CHART[args.id]["x_label"],
             y_label=_CASE_CHART[args.id]["y_label"],
             x_log2=_CASE_CHART[args.id].get("x_log2", False))
-        _write(os.path.join(out_dir, f"{base}.svg"), chart)
-        outputs.append(f"{base}.svg")
-    _emit(out_dir, RunManifest(
-        subcommand="casestudy", argv=tuple(args._argv), scenario=None,
-        grid=None, sim=None, seed=None, version=__version__,
-        outputs=tuple(outputs)))
+    _save(args, _resolve_out(args, "."), outputs)
     return EXIT_OK
 
 
 def _cmd_rerun(args) -> int:
     with open(args.manifest, "r") as handle:
         payload = json.load(handle)
-    argv = payload.get("argv")
-    if not isinstance(argv, list) or not argv:
+    # esdp writes no manifest for rerun itself, so such argv is malformed
+    argv = payload.get("argv") if isinstance(payload, dict) else None
+    if not isinstance(argv, list) or not argv or str(argv[0]) == "rerun":
         raise ScenarioParseError(
             f"manifest {args.manifest!r} carries no argv to re-run")
     return main([str(piece) for piece in argv])
@@ -383,8 +344,9 @@ def main(argv=None) -> int:
     args._argv = argv
     try:
         return args.handler(args)
-    except (ScenarioParseError, OSError, json.JSONDecodeError) as exc:
-        # JSONDecodeError is a ValueError, so this arm must come first
+    except (ScenarioParseError, OSError, json.JSONDecodeError,
+            UnicodeDecodeError) as exc:
+        # both decode errors are ValueErrors, so this arm must come first
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except ValueError as exc:

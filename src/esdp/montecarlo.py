@@ -243,7 +243,7 @@ def rollout_policy(policy_grid, scenario: Scenario,
     dv = v_values[1] - v_values[0] if n_v > 1 else 0.0
 
     is_ou = isinstance(model, MarkovOU)
-    v0 = model.initial if is_ou else model.value
+    v0 = model.mean()
 
     profits = np.empty(cfg.trials)
     row = 0

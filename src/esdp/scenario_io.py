@@ -19,6 +19,8 @@ identity.
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 from .core import (
     Bounded,
     Constant,
@@ -44,20 +46,16 @@ class ScenarioParseError(Exception):
     values of the wrong shape."""
 
 
-_REWARD_FIELDS = {
-    "constant": ("value",),
-    "exponential": ("mean",),
-    "lognormal": ("mean", "variance"),
-    "empirical": ("samples",),
-    "bounded": ("max",),
-    "markov_ou": ("initial", "long_run_mean", "reversion_rate", "volatility"),
+# each reward class and its file keys, in the order of its dataclass fields
+_REWARD_KEYS: dict[type[RewardModel], tuple[str, ...]] = {
+    Constant: ("value",),
+    Exponential: ("mean",),
+    Lognormal: ("mean", "variance"),
+    Empirical: ("samples",),
+    Bounded: ("max",),
+    MarkovOU: ("initial", "long_run_mean", "reversion_rate", "volatility"),
 }
-
-_SCALAR_KEYS = {
-    "env.speedup", "env.cost_rate", "env.honest_delay", "env.seed_time",
-    "abort_probability", "grinding_cost_exponent",
-}
-_COUNT_KEYS = {"grinding_size", "coalition_size", "players", "rounds"}
+_REWARD_KINDS = {cls.kind: cls for cls in _REWARD_KEYS}
 _LIST_KEYS = {"protocol_means", "reward.samples"}
 
 
@@ -137,31 +135,21 @@ def _parse_reward(entries: dict[str, str]) -> RewardModel:
     if "reward.kind" not in entries:
         raise ScenarioParseError("missing required key 'reward.kind'")
     kind = entries.pop("reward.kind")
-    if kind not in _REWARD_FIELDS:
+    if kind not in _REWARD_KINDS:
         raise ScenarioParseError(
             f"reward.kind: unknown kind {kind!r}; "
-            f"valid kinds: {', '.join(sorted(_REWARD_FIELDS))}")
-    values = {}
-    for name in _REWARD_FIELDS[kind]:
+            f"valid kinds: {', '.join(sorted(_REWARD_KINDS))}")
+    cls = _REWARD_KINDS[kind]
+    values = []
+    for name in _REWARD_KEYS[cls]:
         key = f"reward.{name}"
         if key not in entries:
             raise ScenarioParseError(
                 f"missing required key {key!r} for reward.kind = {kind}")
         raw = entries.pop(key)
-        values[name] = _parse_list(key, raw) if key in _LIST_KEYS \
-            else _parse_float(key, raw)
-    if kind == "constant":
-        return Constant(values["value"])
-    if kind == "exponential":
-        return Exponential(values["mean"])
-    if kind == "lognormal":
-        return Lognormal(values["mean"], values["variance"])
-    if kind == "empirical":
-        return Empirical(values["samples"])
-    if kind == "bounded":
-        return Bounded(values["max"])
-    return MarkovOU(values["initial"], values["long_run_mean"],
-                    values["reversion_rate"], values["volatility"])
+        values.append(_parse_list(key, raw) if key in _LIST_KEYS
+                      else _parse_float(key, raw))
+    return cls(*values)
 
 
 def parse_scenario_file(path) -> Scenario:
@@ -169,51 +157,34 @@ def parse_scenario_file(path) -> Scenario:
         return parse_scenario_text(handle.read())
 
 
-def _reward_lines(reward: RewardModel) -> list[str]:
-    lines = [f"reward.kind = {reward.kind}"]
-    if isinstance(reward, Constant):
-        lines.append(f"reward.value = {reward.value!r}")
-    elif isinstance(reward, Exponential):
-        lines.append(f"reward.mean = {reward.mean_value!r}")
-    elif isinstance(reward, Lognormal):
-        lines.append(f"reward.mean = {reward.mean_value!r}")
-        lines.append(f"reward.variance = {reward.variance_value!r}")
-    elif isinstance(reward, Empirical):
-        joined = ", ".join(repr(float(x)) for x in reward.samples)
-        lines.append(f"reward.samples = {joined}")
-    elif isinstance(reward, Bounded):
-        lines.append(f"reward.max = {reward.max_value!r}")
-    elif isinstance(reward, MarkovOU):
-        lines.append(f"reward.initial = {reward.initial!r}")
-        lines.append(f"reward.long_run_mean = {reward.long_run_mean!r}")
-        lines.append(f"reward.reversion_rate = {reward.reversion_rate!r}")
-        lines.append(f"reward.volatility = {reward.volatility!r}")
-    else:
-        raise ScenarioParseError(
-            f"cannot serialize reward model kind {reward.kind!r}")
-    return lines
+def _line(key: str, value) -> str:
+    """`key = value` with every float written as repr(float(x)), so numpy
+    scalars read back the same as Python floats."""
+    if key in _LIST_KEYS:
+        return f"{key} = {', '.join(repr(float(x)) for x in value)}"
+    return f"{key} = {float(value)!r}"
 
 
 def serialize_scenario(s: Scenario) -> str:
     """Canonical text form; floats use repr so round-trips are exact."""
-    lines = [
-        f"env.speedup = {s.env.speedup!r}",
-        f"env.cost_rate = {s.env.cost_rate!r}",
-        f"env.honest_delay = {s.env.honest_delay!r}",
-        f"env.seed_time = {s.env.seed_time!r}",
-    ]
-    lines += _reward_lines(s.reward)
-    lines += [
-        f"grinding_size = {s.grinding_size}",
-        f"abort_probability = {s.abort_probability!r}",
-    ]
+    reward = s.reward
+    keys = _REWARD_KEYS.get(type(reward))
+    if keys is None:
+        raise ScenarioParseError(
+            f"cannot serialize reward model kind {reward.kind!r}")
+    lines = [_line(f"env.{field.name}", getattr(s.env, field.name))
+             for field in fields(s.env)]
+    lines.append(f"reward.kind = {reward.kind}")
+    lines += [_line(f"reward.{key}", getattr(reward, field.name))
+              for key, field in zip(keys, fields(reward))]
+    lines += [f"grinding_size = {s.grinding_size}",
+              _line("abort_probability", s.abort_probability)]
     if s.protocol_means:
-        joined = ", ".join(repr(float(x)) for x in s.protocol_means)
-        lines.append(f"protocol_means = {joined}")
+        lines.append(_line("protocol_means", s.protocol_means))
     lines += [
         f"coalition_size = {s.coalition_size}",
         f"players = {s.players}",
         f"rounds = {s.rounds}",
-        f"grinding_cost_exponent = {s.grinding_cost_exponent!r}",
+        _line("grinding_cost_exponent", s.grinding_cost_exponent),
     ]
     return "\n".join(lines) + "\n"

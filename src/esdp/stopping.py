@@ -214,7 +214,7 @@ def solve(scenario: Scenario, grid: GridSpec) -> tuple[ValueGrid, PolicyGrid]:
     if not 0.0 <= reward_max < math.inf:
         raise ValueError(
             f"reward_max must be finite and >= 0 (got {reward_max})")
-    initial = model.initial if isinstance(model, MarkovOU) else model.value
+    initial = model.mean()
     if initial > reward_max:
         raise ValueError(
             f"initial reward {initial} lies above reward_max {reward_max}")

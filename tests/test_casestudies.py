@@ -114,11 +114,8 @@ class TestOutputFormats:
         g4 = float(lines[2].split(",")[1])
         assert g4 == out.rows[1][1]
 
-    def test_json_document(self, tmp_path):
-        out = case4_ethereum()
-        path = tmp_path / "case4.json"
-        out.write_json(path)
-        payload = json.loads(path.read_text())
+    def test_json_document(self):
+        payload = json.loads(json.dumps(case4_ethereum().to_json_dict()))
         assert payload["name"] == "ethereum_randao_replacement"
         assert payload["columns"][0] == {"name": "expected_mev",
                                          "unit": "USD"}

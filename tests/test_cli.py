@@ -30,6 +30,27 @@ reward.kind = constant
 reward.value = 10.0
 """
 
+OU_300 = """\
+env.speedup = 3.0
+env.cost_rate = 0.05
+env.honest_delay = 300.0
+reward.kind = markov_ou
+reward.initial = 10.0
+reward.long_run_mean = 12.0
+reward.reversion_rate = 0.1
+reward.volatility = 2.0
+"""
+
+# one run per subcommand that writes files: scenario text (the file goes in
+# after the subcommand), the rest of the argv, and the exit code
+RERUN_CASES = {
+    "threshold": (BASELINE, ["threshold", "--delay", "500"], 3),
+    "equilibrium": (BASELINE, ["equilibrium", "--players", "3"], 0),
+    "solve": (OU_300, ["solve", "--dt", "5", "--vpoints", "31"], 3),
+    "simulate": (BASELINE, ["simulate", "--trials", "400", "--seed", "5",
+                            "--csv"], 0),
+    "casestudy": (None, ["casestudy", "--id", "3", "--svg"], 0),
+}
 
 OU = {"reward.kind": "markov_ou", "reward.initial": "10.0",
       "reward.long_run_mean": "10.0", "reward.reversion_rate": "0.1",
@@ -281,16 +302,22 @@ class TestSimulateCommand:
         assert manifest["seed"] == 11
         assert "trials.csv" in manifest["outputs"]
 
-    def test_rerun_reproduces_bytes(self, baseline_file, tmp_path):
-        out_dir = tmp_path / "sim"
-        args = ["simulate", baseline_file, "--trials", "400", "--seed", "5",
-                "--csv", "--out", str(out_dir)]
-        assert main(args) == 0
-        first = (out_dir / "trials.csv").read_bytes()
-        first_manifest = (out_dir / "manifest.json").read_bytes()
-        assert main(["rerun", str(out_dir / "manifest.json")]) == 0
-        assert (out_dir / "trials.csv").read_bytes() == first
-        assert (out_dir / "manifest.json").read_bytes() == first_manifest
+    @pytest.mark.parametrize("name", list(RERUN_CASES))
+    def test_rerun_reproduces_bytes(self, name, tmp_path):
+        text, argv, code = RERUN_CASES[name]
+        if text is not None:
+            scenario = tmp_path / "s.scenario"
+            scenario.write_text(text)
+            argv = [argv[0], str(scenario), *argv[1:]]
+        out_dir = tmp_path / "out"
+        assert main([*argv, "--out", str(out_dir)]) == code
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert sorted(path.name for path in out_dir.iterdir()) == \
+            sorted([*manifest["outputs"], "manifest.json"])
+        first = {path.name: path.read_bytes() for path in out_dir.iterdir()}
+        assert main(["rerun", str(out_dir / "manifest.json")]) == code
+        assert {path.name: path.read_bytes()
+                for path in out_dir.iterdir()} == first
 
 
 class TestCaseStudyCommand:
@@ -345,6 +372,28 @@ class TestMiscellaneous:
         bad = tmp_path / "bad.json"
         bad.write_text("{nope")
         assert main(["rerun", str(bad)]) == 1
+
+    @pytest.mark.parametrize("payload", [
+        [1, 2], {"argv": ["rerun", "self.json"]}],
+        ids=["not-an-object", "reruns-itself"])
+    def test_rerun_malformed_manifest(self, payload, tmp_path, monkeypatch,
+                                      capsys):
+        monkeypatch.chdir(tmp_path)
+        Path("self.json").write_text(json.dumps(payload))
+        assert main(["rerun", "self.json"]) == 1
+        err = capsys.readouterr().err
+        assert "carries no argv to re-run" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["threshold", "rerun"])
+    def test_non_utf8_input_is_a_parse_error(self, command, tmp_path, capsys):
+        # a stray 0xff byte after a scenario or manifest that is otherwise fine
+        text = BASELINE if command == "threshold" \
+            else json.dumps({"argv": ["casestudy", "--id", "1"]})
+        path = tmp_path / "input"
+        path.write_bytes(text.encode() + b"\xff\n")
+        assert main([command, str(path)]) == 1
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_import_loads_no_scipy(self):
         code = ("import sys, esdp.cli; "

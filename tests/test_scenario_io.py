@@ -1,5 +1,11 @@
-import pytest
+from dataclasses import fields
 
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from esdp import core
 from esdp.core import (
     Bounded,
     Constant,
@@ -8,9 +14,12 @@ from esdp.core import (
     Exponential,
     Lognormal,
     MarkovOU,
+    RewardModel,
     Scenario,
 )
 from esdp.scenario_io import (
+    _LIST_KEYS,
+    _REWARD_KEYS,
     ScenarioParseError,
     parse_scenario_text,
     serialize_scenario,
@@ -93,6 +102,58 @@ def test_round_trip_preserves_awkward_floats():
         reward=Exponential(0.1 + 0.2),
     )
     assert parse_scenario_text(serialize_scenario(scenario)) == scenario
+
+
+def test_round_trip_numpy_scalars():
+    scenario = Scenario(EconomicEnvironment(np.float64(3.0), 0.05, 600.0),
+                        Exponential(np.float64(4.0)))
+    text = serialize_scenario(scenario)
+    assert "env.speedup = 3.0\n" in text
+    assert parse_scenario_text(text) == scenario
+
+
+def test_reward_table_covers_every_model():
+    models = {cls for cls in vars(core).values() if isinstance(cls, type)
+              and issubclass(cls, RewardModel) and cls is not RewardModel}
+    assert set(_REWARD_KEYS) == models
+    for cls, keys in _REWARD_KEYS.items():
+        assert len(set(keys)) == len(keys) == len(fields(cls))
+
+
+def test_unknown_reward_type_cannot_serialize():
+    class Uniform(Constant):
+        kind = "uniform"
+
+    with pytest.raises(ScenarioParseError, match="kind 'uniform'"):
+        serialize_scenario(Scenario(EconomicEnvironment(3.0, 0.05, 600.0),
+                                    Uniform(1.0)))
+
+
+# any finite float, subnormals and both zeros included
+_floats = st.floats(allow_nan=False, allow_infinity=False)
+# counts are read through a float, which holds every integer up to 2**53
+_counts = st.integers(-2 ** 53, 2 ** 53)
+
+
+@st.composite
+def _rewards(draw):
+    cls, keys = draw(st.sampled_from(list(_REWARD_KEYS.items())))
+    return cls(*(tuple(draw(st.lists(_floats, min_size=1, max_size=50)))
+                 if f"reward.{key}" in _LIST_KEYS else draw(_floats)
+                 for key in keys))
+
+
+@given(env=st.builds(EconomicEnvironment, _floats, _floats, _floats, _floats),
+       reward=_rewards(), grinding_size=_counts, abort=_floats,
+       means=st.lists(_floats, max_size=5), coalition=_counts,
+       players=_counts, rounds=_counts, exponent=_floats)
+def test_round_trip_property(env, reward, grinding_size, abort, means,
+                             coalition, players, rounds, exponent):
+    scenario = Scenario(env, reward, grinding_size, abort, tuple(means),
+                        coalition, players, rounds, exponent)
+    text = serialize_scenario(scenario)
+    assert parse_scenario_text(text) == scenario
+    assert serialize_scenario(parse_scenario_text(text)) == text
 
 
 class TestParseErrors:
