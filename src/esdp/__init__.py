@@ -13,94 +13,12 @@ bundled case studies.
 
 __version__ = "0.1.0"
 
-from .core import (
-    Bounded,
-    Constant,
-    DEFAULT_OU_REWARD,
-    EconomicEnvironment,
-    Empirical,
-    Exponential,
-    Lognormal,
-    MarkovOU,
-    RewardModel,
-    Scenario,
-    ScenarioValidationError,
-    ThresholdReport,
-    harmonic_number,
-    scenario_violations,
-    validate_scenario,
-)
-from .equilibrium import (
-    EquilibriumResult,
-    attacker_payoff,
-    conditional_inverse_expectation,
-    equilibrium_attack_probability,
-    strict_dominance_delay,
-)
-from .montecarlo import (
-    ProfitEstimate,
-    SimConfig,
-    TailEstimate,
-    commit_profit_samples,
-    equilibrium_empirical_check,
-    estimate_tail_probability,
-    grinding_max_oracle,
-    profit_estimate,
-    rollout_policy,
-    simulate_reward_path,
-)
-from .stopping import (
-    GridSpec,
-    PolicyGrid,
-    ValueGrid,
-    check_threshold_structure,
-    extract_decision_boundary,
-    initial_security_verdict,
-    initial_value,
-    solve,
-)
-from .thresholds import (
-    MomentBounds,
-    ParameterIntervals,
-    abort_threshold,
-    coalition_threshold,
-    composition_threshold,
-    epsilon_robust_threshold,
-    esdp,
-    expected_max_exponential,
-    expected_profit,
-    grinding_threshold,
-    linear_threshold,
-    multiround_threshold,
-    multiround_threshold_subsets,
-    robust_interval_threshold,
-)
+from . import core, equilibrium, montecarlo, stopping, thresholds
+from .core import *
+from .equilibrium import *
+from .montecarlo import *
+from .stopping import *
+from .thresholds import *
 
-__all__ = [
-    "__version__",
-    # core
-    "EconomicEnvironment", "RewardModel", "Constant", "Exponential",
-    "Lognormal", "Empirical", "Bounded", "MarkovOU", "DEFAULT_OU_REWARD",
-    "Scenario", "ThresholdReport", "ScenarioValidationError",
-    "scenario_violations", "validate_scenario", "harmonic_number",
-    # thresholds
-    "MomentBounds", "ParameterIntervals", "expected_profit",
-    "linear_threshold", "robust_interval_threshold",
-    "epsilon_robust_threshold", "composition_threshold",
-    "multiround_threshold", "multiround_threshold_subsets",
-    "grinding_threshold", "expected_max_exponential", "abort_threshold",
-    "coalition_threshold", "esdp",
-    # stopping
-    "GridSpec", "ValueGrid", "PolicyGrid", "solve", "initial_value",
-    "initial_security_verdict", "check_threshold_structure",
-    "extract_decision_boundary",
-    # equilibrium
-    "EquilibriumResult", "attacker_payoff",
-    "conditional_inverse_expectation", "equilibrium_attack_probability",
-    "strict_dominance_delay",
-    # monte carlo
-    "SimConfig", "ProfitEstimate", "TailEstimate", "simulate_reward_path",
-    "commit_profit_samples", "profit_estimate", "rollout_policy",
-    "estimate_tail_probability", "grinding_max_oracle",
-    "equilibrium_empirical_check",
-]
+__all__ = ["__version__", *core.__all__, *thresholds.__all__,
+           *stopping.__all__, *equilibrium.__all__, *montecarlo.__all__]

@@ -325,6 +325,12 @@ class MarkovOU(RewardModel):
         return self.volatility * math.sqrt(
             (1.0 - math.exp(-2.0 * kappa * dt)) / (2.0 * kappa))
 
+    def step(self, v, dt: float, rng):
+        """Advance every reward in `v` by one exact transition over `dt`,
+        reflected at 0."""
+        return np.abs(self.transition_mean(v, dt)
+                      + self.transition_std(dt) * rng.standard_normal(v.shape))
+
     def stationary_std(self) -> float:
         return self.volatility / math.sqrt(2.0 * self.reversion_rate)
 
@@ -341,9 +347,7 @@ class MarkovOU(RewardModel):
     def sample(self, rng, size, horizon=None):
         if horizon is None:
             return np.full(size, self.initial, dtype=float)
-        m = self.transition_mean(self.initial, horizon)
-        s = self.transition_std(horizon)
-        return np.abs(rng.normal(m, s, size))
+        return self.step(np.full(size, self.initial), horizon, rng)
 
     def expected_max(self, draws, horizon=None):
         if draws == 1:

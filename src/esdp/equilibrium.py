@@ -98,7 +98,8 @@ def conditional_inverse_expectation(n: int, p: float) -> float:
         return 1.0 / n
     numerator = float(_binomial_pmf(n, p)[1:] @ _binomial_row(n)[3])
     at_least_one = -math.expm1(n * math.log1p(-p))
-    return numerator / at_least_one
+    # the log-space pmf can round the ratio a few ulps past its bound
+    return min(1.0, numerator / at_least_one)
 
 
 def equilibrium_attack_probability(n: int, expected_reward: float,

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -77,9 +78,28 @@ def _substream(seed: int, block: int) -> np.random.Generator:
         np.random.Philox(key=int(seed) + (block << 64)))
 
 
-def _blocks(trials: int):
-    for block in range(math.ceil(trials / _BLOCK)):
-        yield block, min(_BLOCK, trials - block * _BLOCK)
+def _per_block(cfg: SimConfig, draw) -> np.ndarray:
+    """draw(rng, size) -> `size` rows, for each block of cfg.trials, filled
+    into one array of cfg.trials rows.
+
+    Block b holds trials [b*_BLOCK, (b+1)*_BLOCK) and draws from
+    _substream(cfg.seed, b) alone, so a longer run repeats every full block
+    of a shorter one, and its partial last block too when draw takes each
+    trial's variates together (not so for paths, drawn step by step)."""
+    for block in range(math.ceil(cfg.trials / _BLOCK)):
+        start = block * _BLOCK
+        rows = draw(_substream(cfg.seed, block),
+                    min(_BLOCK, cfg.trials - start))
+        if block == 0:
+            out = np.empty((cfg.trials, *rows.shape[1:]), rows.dtype)
+        out[start:start + len(rows)] = rows
+    return out
+
+
+def _mean_se(x: np.ndarray) -> tuple[float, float]:
+    """Sample mean and its standard error (0 for a single value)."""
+    se = float(np.std(x, ddof=1) / math.sqrt(x.size)) if x.size > 1 else 0.0
+    return float(np.mean(x)), se
 
 
 def _z_value(confidence: float) -> float:
@@ -133,9 +153,7 @@ class ConditionalInverseEstimate:
 def profit_estimate(profits: np.ndarray, confidence: float) -> ProfitEstimate:
     """Normal-approximation summary of a profit sample."""
     profits = np.asarray(profits, dtype=float)
-    mean = float(np.mean(profits))
-    se = float(np.std(profits, ddof=1) / math.sqrt(profits.size)) \
-        if profits.size > 1 else 0.0
+    mean, se = _mean_se(profits)
     half = _z_value(confidence) * se
     return ProfitEstimate(
         mean=mean,
@@ -158,31 +176,24 @@ def simulate_reward_path(model: RewardModel, horizon: float,
     if not horizon > 0.0:
         raise ValueError(f"horizon must be > 0 (got {horizon})")
 
-    if isinstance(model, Constant):
-        steps = _step_count(horizon, cfg.time_step)
-        return np.full((cfg.trials, steps + 1), model.value, dtype=float)
-
-    if not isinstance(model, MarkovOU):
-        chunks = [model.sample(_substream(cfg.seed, block), size)[:, None]
-                  for block, size in _blocks(cfg.trials)]
-        return np.vstack(chunks)
+    if not isinstance(model, (Constant, MarkovOU)):
+        return _per_block(cfg, model.sample)[:, None]
 
     steps = _step_count(horizon, cfg.time_step)
+    if isinstance(model, Constant):
+        return np.full((cfg.trials, steps + 1), model.value, dtype=float)
+
     deltas = np.minimum(cfg.time_step,
                         horizon - cfg.time_step * np.arange(steps))
-    out = np.empty((cfg.trials, steps + 1), dtype=float)
-    row = 0
-    for block, size in _blocks(cfg.trials):
-        rng = _substream(cfg.seed, block)
-        paths = np.empty((size, steps + 1), dtype=float)
-        paths[:, 0] = model.initial
+
+    def paths(rng, size):
+        out = np.empty((size, steps + 1), dtype=float)
+        out[:, 0] = model.initial
         for k, dt in enumerate(deltas):
-            m = model.transition_mean(paths[:, k], dt)
-            s = model.transition_std(dt)
-            paths[:, k + 1] = np.abs(m + s * rng.standard_normal(size))
-        out[row:row + size] = paths
-        row += size
-    return out
+            out[:, k + 1] = model.step(out[:, k], dt, rng)
+        return out
+
+    return _per_block(cfg, paths)
 
 
 def _step_count(horizon: float, dt: float) -> int:
@@ -207,11 +218,8 @@ def commit_profit_samples(scenario: Scenario, cfg: SimConfig,
     cost = env.cost_rate * T / env.speedup
     succeeds = env.speedup > 1.0  # completion at T/speedup < T
 
-    chunks = [scenario.reward.sample(_substream(cfg.seed, block), size,
-                                     horizon=T)
-              for block, size in _blocks(cfg.trials)]
-    rewards = np.concatenate(chunks)
-    profits = (rewards if succeeds else 0.0) - cost
+    rewards = _per_block(cfg, partial(scenario.reward.sample, horizon=T))
+    profits = (rewards if succeeds else np.zeros_like(rewards)) - cost
     successes = np.full(cfg.trials, succeeds, dtype=bool)
     stop_times = np.full(cfg.trials, env.seed_time + T / env.speedup)
     return profits, successes, stop_times
@@ -245,10 +253,7 @@ def rollout_policy(policy_grid, scenario: Scenario,
     is_ou = isinstance(model, MarkovOU)
     v0 = model.mean()
 
-    profits = np.empty(cfg.trials)
-    row = 0
-    for block, size in _blocks(cfg.trials):
-        rng = _substream(cfg.seed, block)
+    def profits(rng, size):
         v = np.full(size, v0)
         work = np.zeros(size, dtype=np.intp)
         cost = np.zeros(size)
@@ -264,17 +269,15 @@ def rollout_policy(policy_grid, scenario: Scenario,
             act = compute[work, v_idx, k] & running
             cost[act] += step_cost
             if is_ou:
-                v = np.abs(model.transition_mean(v, dt)
-                           + model.transition_std(dt)
-                           * rng.standard_normal(size))
+                v = model.step(v, dt, rng)
             work[act] += 1
             finished = act & (work == final_work)
             succeeded = finished & (k + 1 < horizon_idx)
             reward[succeeded] = v[succeeded]
             running &= ~finished
-        profits[row:row + size] = reward - cost
-        row += size
-    return profit_estimate(profits, cfg.confidence)
+        return reward - cost
+
+    return profit_estimate(_per_block(cfg, profits), cfg.confidence)
 
 
 def estimate_tail_probability(scenario: Scenario, delay: float,
@@ -284,14 +287,12 @@ def estimate_tail_probability(scenario: Scenario, delay: float,
     rule. Requires a reward model with finite mean and variance."""
     scenario = validate_scenario(scenario)
     _check_config(cfg)
+    if not 0.0 < delay < math.inf:
+        raise ValueError(f"delay must be finite and > 0 (got {delay})")
     env = scenario.env
     cost = env.cost_rate * delay / env.speedup
-    positives = 0
-    for block, size in _blocks(cfg.trials):
-        draws = scenario.reward.sample(_substream(cfg.seed, block), size,
-                                       horizon=delay)
-        positives += int(np.count_nonzero(draws - cost > 0.0))
-    fraction = positives / cfg.trials
+    draws = _per_block(cfg, partial(scenario.reward.sample, horizon=delay))
+    fraction = int(np.count_nonzero(draws - cost > 0.0)) / cfg.trials
     se = math.sqrt(fraction * (1.0 - fraction) / cfg.trials)
     half = _z_value(cfg.confidence) * se
     return TailEstimate(fraction=fraction, std_error=se,
@@ -308,16 +309,9 @@ def grinding_max_oracle(mean: float, draws: int, cfg: SimConfig) -> MomentEstima
     if draws < 1:
         raise ValueError(f"draws must be >= 1 (got {draws})")
     _check_config(cfg)
-    maxima = np.empty(cfg.trials)
-    row = 0
-    for block, size in _blocks(cfg.trials):
-        rng = _substream(cfg.seed, block)
-        maxima[row:row + size] = rng.exponential(mean, (size, draws)).max(axis=1)
-        row += size
-    se = float(np.std(maxima, ddof=1) / math.sqrt(cfg.trials)) \
-        if cfg.trials > 1 else 0.0
-    return MomentEstimate(value=float(np.mean(maxima)), std_error=se,
-                          trials=cfg.trials)
+    value, se = _mean_se(_per_block(
+        cfg, lambda rng, size: rng.exponential(mean, (size, draws)).max(axis=1)))
+    return MomentEstimate(value=value, std_error=se, trials=cfg.trials)
 
 
 def equilibrium_empirical_check(n: int, p: float,
@@ -329,20 +323,14 @@ def equilibrium_empirical_check(n: int, p: float,
     if not 0.0 < p <= 1.0:
         raise ValueError(f"p must be in (0, 1] (got {p})")
     _check_config(cfg)
-    kept = []
-    for block, size in _blocks(cfg.trials):
-        rng = _substream(cfg.seed, block)
-        k = rng.binomial(n, p, size)
-        kept.append(1.0 / k[k > 0])
-    inverses = np.concatenate(kept)
+    k = _per_block(cfg, lambda rng, size: rng.binomial(n, p, size))
+    inverses = 1.0 / k[k > 0]
     if inverses.size == 0:
         return ConditionalInverseEstimate(value=None, std_error=None,
                                           effective_trials=0,
                                           requested_trials=cfg.trials)
-    se = float(np.std(inverses, ddof=1) / math.sqrt(inverses.size)) \
-        if inverses.size > 1 else 0.0
-    return ConditionalInverseEstimate(value=float(np.mean(inverses)),
-                                      std_error=se,
+    value, se = _mean_se(inverses)
+    return ConditionalInverseEstimate(value=value, std_error=se,
                                       effective_trials=int(inverses.size),
                                       requested_trials=cfg.trials)
 

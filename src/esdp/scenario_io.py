@@ -68,9 +68,18 @@ def _parse_float(key: str, raw: str) -> float:
 
 
 def _parse_count(key: str, raw: str) -> int:
-    value = _parse_float(key, raw)
+    """An integer literal exactly; other notations (`3.0`, `1e3`) through
+    a float, which holds every integer only below 2**53."""
+    try:
+        return int(raw)
+    except ValueError:
+        value = _parse_float(key, raw)
     if not value.is_integer():
         raise ScenarioParseError(f"{key}: expected an integer, got {raw!r}")
+    if abs(value) >= 2 ** 53:
+        raise ScenarioParseError(
+            f"{key}: {raw!r} is not exact as a float; "
+            "write an integer this large without a point or exponent")
     return int(value)
 
 

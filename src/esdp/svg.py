@@ -14,6 +14,7 @@ __all__ = ["render_line_chart"]
 
 _PALETTE = ("#1965b0", "#dc050c", "#4eb265", "#f1932d", "#882e72", "#555555")
 _FONT = "font-family=\"sans-serif\""
+_WIDTH, _HEIGHT = 760, 480
 
 
 def _nice_ticks(low: float, high: float, target: int = 6) -> list[float]:
@@ -42,8 +43,7 @@ def _fmt(value: float) -> str:
 
 
 def render_line_chart(series, title: str, x_label: str, y_label: str,
-                      x_log2: bool = False, width: int = 760,
-                      height: int = 480) -> str:
+                      x_log2: bool = False) -> str:
     """Render `series` (an iterable of (label, xs, ys)) as a complete SVG
     document string. With `x_log2`, the x axis is log-scaled base 2 and
     ticks sit on powers of two."""
@@ -67,7 +67,7 @@ def render_line_chart(series, title: str, x_label: str, y_label: str,
     y_lo, y_hi = y_lo - y_pad, y_hi + y_pad
 
     left, right, top, bottom = 72, 24, 40, 56
-    plot_w, plot_h = width - left - right, height - top - bottom
+    plot_w, plot_h = _WIDTH - left - right, _HEIGHT - top - bottom
 
     def px(value: float) -> float:
         return left + (value - x_lo) / (x_hi - x_lo) * plot_w
@@ -85,10 +85,10 @@ def render_line_chart(series, title: str, x_label: str, y_label: str,
     y_ticks = _nice_ticks(y_lo, y_hi)
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{width / 2:.1f}" y="22" text-anchor="middle" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
+        f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
+        f'<text x="{_WIDTH / 2:.1f}" y="22" text-anchor="middle" '
         f'font-size="15" {_FONT}>{escape(title)}</text>',
     ]
     # axes
@@ -112,7 +112,7 @@ def render_line_chart(series, title: str, x_label: str, y_label: str,
         parts.append(f'<text x="{left - 8}" y="{y_px + 4:.1f}" '
                      f'text-anchor="end" font-size="11" {_FONT}>'
                      f'{escape(_fmt(tick))}</text>')
-    parts.append(f'<text x="{left + plot_w / 2:.1f}" y="{height - 12}" '
+    parts.append(f'<text x="{left + plot_w / 2:.1f}" y="{_HEIGHT - 12}" '
                  f'text-anchor="middle" font-size="12" {_FONT}>'
                  f'{escape(x_label)}</text>')
     parts.append(f'<text x="18" y="{top + plot_h / 2:.1f}" '

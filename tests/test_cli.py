@@ -302,6 +302,18 @@ class TestSimulateCommand:
         assert manifest["seed"] == 11
         assert "trials.csv" in manifest["outputs"]
 
+    def test_unit_speedup_csv_has_every_trial(self, tmp_path, capsys):
+        # completion at the reveal fails, so every trial pays the cost
+        scenario = tmp_path / "s1.scenario"
+        scenario.write_text(BASELINE.replace("3.0", "1.0"))
+        out_dir = tmp_path / "sim"
+        assert main(["simulate", str(scenario), "--trials", "500", "--csv",
+                     "--out", str(out_dir)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        rows = (out_dir / "trials.csv").read_text().splitlines()[1:]
+        assert len(rows) == 500
+        assert {row.split(",", 1)[1] for row in rows} == {"-30,0,600"}
+
     @pytest.mark.parametrize("name", list(RERUN_CASES))
     def test_rerun_reproduces_bytes(self, name, tmp_path):
         text, argv, code = RERUN_CASES[name]
@@ -394,6 +406,25 @@ class TestMiscellaneous:
         path.write_bytes(text.encode() + b"\xff\n")
         assert main([command, str(path)]) == 1
         assert "Traceback" not in capsys.readouterr().err
+
+    def test_inexact_count_is_a_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "big.scenario"
+        path.write_text(BASELINE + "grinding_size = 9007199254740993.0\n")
+        assert main(["threshold", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "grinding_size" in err
+        assert "Traceback" not in err
+
+    def test_package_exports(self):
+        from esdp import core, equilibrium, montecarlo, stopping, thresholds
+        modules = (core, equilibrium, montecarlo, stopping, thresholds)
+        names = [name for module in modules for name in module.__all__]
+        assert len(set(names)) == len(names)
+        assert len(set(esdp.__all__)) == len(esdp.__all__)
+        assert set(esdp.__all__) == {"__version__", *names}
+        for module in modules:
+            for name in module.__all__:
+                assert getattr(esdp, name) is getattr(module, name), name
 
     def test_import_loads_no_scipy(self):
         code = ("import sys, esdp.cli; "

@@ -158,6 +158,11 @@ class TestConditionalInverseExpectation:
             assert conditional_inverse_expectation(n, p) == \
                 oracle_conditional_inverse(n, p)
 
+    @pytest.mark.parametrize("n", [3, 5000])
+    def test_never_above_one_at_tiny_p(self, n):
+        # the log-space pmf rounds the ratio past 1 here unless clamped
+        assert conditional_inverse_expectation(n, 1e-300) == 1.0
+
     @given(n=st.integers(1, 5000), extra=st.integers(0, 100),
            p=st.floats(0.0, 1.0, exclude_min=True),
            q=st.floats(0.0, 1.0, exclude_min=True))
@@ -166,7 +171,7 @@ class TestConditionalInverseExpectation:
         slack = 1.0 + 1e-10
         p, q = min(p, q), max(p, q)
         value = conditional_inverse_expectation(n, p)
-        assert 1.0 / n / slack <= value <= slack
+        assert 1.0 / n / slack <= value <= 1.0
         assert conditional_inverse_expectation(n, q) <= value * slack
         assert conditional_inverse_expectation(n + extra, p) <= value * slack
 

@@ -51,14 +51,24 @@ class TestDeterminism:
         for x, y in zip(first, second):
             assert np.array_equal(x, y)
 
-    def test_trial_count_extends_the_stream(self, baseline_env):
-        # block-wise substreams: a longer run starts with the shorter one
-        scenario = Scenario(baseline_env, Exponential(10.0))
-        short = commit_profit_samples(scenario, SimConfig(trials=1000,
-                                                          seed=7))[0]
-        long = commit_profit_samples(scenario, SimConfig(trials=9000,
-                                                         seed=7))[0]
-        assert np.array_equal(short, long[:1000])
+    @pytest.mark.parametrize("run, trials", [
+        (lambda env, cfg: commit_profit_samples(
+            Scenario(env, Exponential(10.0)), cfg)[0], 1000),
+        (lambda env, cfg: simulate_reward_path(Exponential(10.0), 20.0, cfg),
+         1000),
+        # paths draw a block one time step at a time, so only whole blocks
+        # of a shorter run recur in a longer one
+        (lambda env, cfg: simulate_reward_path(DEFAULT_OU_REWARD, 20.0, cfg),
+         8192),
+    ], ids=["commit_profit_samples", "simulate_reward_path-exponential",
+            "simulate_reward_path-markov_ou"])
+    def test_trial_count_extends_the_stream(self, baseline_env, run, trials):
+        # block-wise substreams: a longer run starts with the shorter one,
+        # here across two block edges
+        short = run(baseline_env, SimConfig(trials=trials, seed=7))
+        long = run(baseline_env, SimConfig(trials=9000, seed=7))
+        assert len(short) == trials and len(long) == 9000
+        assert np.array_equal(short, long[:trials])
 
 
 class TestRewardPaths:
@@ -119,6 +129,7 @@ class TestCommitProfits:
         profits, successes, _ = commit_profit_samples(
             Scenario(env, Constant(50.0)), SimConfig(trials=10, seed=0))
         assert not successes.any()
+        assert profits.shape == (10,)
         assert np.allclose(profits, -5.0)
 
     def test_profit_estimate_summary(self):
@@ -197,6 +208,15 @@ class TestTailProbability:
         est = estimate_tail_probability(scenario, delay,
                                         SimConfig(trials=100_000, seed=6))
         assert est.confidence_interval[1] <= epsilon
+
+    @pytest.mark.parametrize("reward", [Exponential(10.0), DEFAULT_OU_REWARD],
+                             ids=["exponential", "markov_ou"])
+    @pytest.mark.parametrize("delay", [math.nan, math.inf, -5.0, 0.0])
+    def test_rejects_delay_outside_positive_reals(self, baseline_env, reward,
+                                                  delay):
+        with pytest.raises(ValueError, match="delay must be finite and > 0"):
+            estimate_tail_probability(Scenario(baseline_env, reward), delay,
+                                      SimConfig(trials=100, seed=1))
 
 
 class TestOracles:

@@ -104,6 +104,19 @@ def test_round_trip_preserves_awkward_floats():
     assert parse_scenario_text(serialize_scenario(scenario)) == scenario
 
 
+def test_count_integer_literal_is_exact():
+    scenario = parse_scenario_text(
+        BASELINE_TEXT + "grinding_size = 9007199254740993\n")
+    assert scenario.grinding_size == 2 ** 53 + 1
+    assert parse_scenario_text(serialize_scenario(scenario)) == scenario
+
+
+@pytest.mark.parametrize("raw, count", [("3.0", 3), ("1e3", 1000)])
+def test_count_notations(raw, count):
+    scenario = parse_scenario_text(BASELINE_TEXT + f"players = {raw}\n")
+    assert scenario.players == count
+
+
 def test_round_trip_numpy_scalars():
     scenario = Scenario(EconomicEnvironment(np.float64(3.0), 0.05, 600.0),
                         Exponential(np.float64(4.0)))
@@ -131,8 +144,8 @@ def test_unknown_reward_type_cannot_serialize():
 
 # any finite float, subnormals and both zeros included
 _floats = st.floats(allow_nan=False, allow_infinity=False)
-# counts are read through a float, which holds every integer up to 2**53
-_counts = st.integers(-2 ** 53, 2 ** 53)
+# integer literals are read exactly, well past the 2**53 a float holds
+_counts = st.integers(-2 ** 64, 2 ** 64)
 
 
 @st.composite
@@ -187,6 +200,12 @@ class TestParseErrors:
     def test_fractional_count(self):
         text = BASELINE_TEXT + "players = 2.5\n"
         with pytest.raises(ScenarioParseError, match="integer"):
+            parse_scenario_text(text)
+
+    def test_count_past_float_precision_needs_integer_literal(self):
+        text = BASELINE_TEXT + "grinding_size = 9007199254740993.0\n"
+        with pytest.raises(ScenarioParseError,
+                           match="grinding_size: .* not exact as a float"):
             parse_scenario_text(text)
 
     def test_unknown_reward_kind(self):
