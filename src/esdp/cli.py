@@ -333,12 +333,38 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_FLOAT_OPTIONS = ("--delay", "--dt", "--vmax")
+
+
+def _is_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _join_float_values(argv: list[str]) -> list[str]:
+    """argv with each float option joined to a value that starts with '-'
+    (`--delay -1e3` -> `--delay=-1e3`). argparse reads a separate item
+    such as `-1e3` or `-inf` as an option, not a value, so only the joined
+    form reaches the range checks."""
+    joined: list[str] = []
+    for item in argv:
+        if joined and joined[-1] in _FLOAT_OPTIONS \
+                and item.startswith("-") and _is_float(item):
+            joined[-1] += "=" + item
+        else:
+            joined.append(item)
+    return joined
+
+
 def main(argv=None) -> int:
     """Run the CLI; returns the exit code instead of raising SystemExit."""
     argv = list(sys.argv[1:]) if argv is None else [str(a) for a in argv]
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_float_values(argv))
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
     args._argv = argv

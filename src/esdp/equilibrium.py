@@ -9,7 +9,8 @@ and indifference pins the equilibrium at
     E[1/K | K >= 1] * E[V] = cost_rate * delay / speedup.
 
 The left side falls continuously from E[V] (as p -> 0) toward E[V]/n
-(at p = 1), so the root is found by bisection.
+(at p = 1), so the root is bracketed on [1e-12, 1] and found by Brent's
+method in log p.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ __all__ = [
     "strict_dominance_delay",
 ]
 
-_BISECTION_STEPS = 200
+_MAX_GAP_EVALS = 100
 
 
 @dataclass(frozen=True)
@@ -62,8 +63,8 @@ def attacker_payoff(attackers: int, expected_reward: float, cost_rate: float,
 @functools.lru_cache(maxsize=1)
 def _binomial_row(n: int) -> tuple[np.ndarray, ...]:
     """The p-independent half of Binomial(n, p) over k = 0..n: log C(n, k),
-    k, n - k, and the weights 1/k over k = 1..n. Every bisection step of a
-    solve shares n, so one cached row serves the whole solve; the arrays
+    k, n - k, and the weights 1/k over k = 1..n. Every root-finding step of
+    a solve shares n, so one cached row serves the whole solve; the arrays
     are read-only because the cache hands out the same ones each time."""
     k = np.arange(n + 1, dtype=float)
     log_factorial = np.array([math.lgamma(i + 1) for i in range(n + 1)])
@@ -72,13 +73,6 @@ def _binomial_row(n: int) -> tuple[np.ndarray, ...]:
     for array in row:
         array.flags.writeable = False
     return row
-
-
-def _binomial_pmf(n: int, p: float) -> np.ndarray:
-    """pmf of Binomial(n, p) over k = 0..n, in log space so that no term
-    passes through an underflowing (1-p)^n."""
-    log_choose, k, n_minus_k, _ = _binomial_row(n)
-    return np.exp(log_choose + k * math.log(p) + n_minus_k * math.log1p(-p))
 
 
 def conditional_inverse_expectation(n: int, p: float) -> float:
@@ -96,7 +90,11 @@ def conditional_inverse_expectation(n: int, p: float) -> float:
         return 1.0  # K is identically 1 given K >= 1
     if p == 1.0:
         return 1.0 / n
-    numerator = float(_binomial_pmf(n, p)[1:] @ _binomial_row(n)[3])
+    log_choose, k, n_minus_k, inverse_k = _binomial_row(n)
+    # the pmf in log space, so that no term passes through an underflowing
+    # (1-p)^n
+    pmf = np.exp(log_choose + k * math.log(p) + n_minus_k * math.log1p(-p))
+    numerator = float(pmf[1:] @ inverse_k)
     at_least_one = -math.expm1(n * math.log1p(-p))
     # the log-space pmf can round the ratio a few ulps past its bound
     return min(1.0, numerator / at_least_one)
@@ -108,9 +106,11 @@ def equilibrium_attack_probability(n: int, expected_reward: float,
     """Solve the symmetric mixed equilibrium of the n-player attack game.
 
     Below the single-attacker break-even (E[V] <= cost, equality resolved
-    to the defender's side) nobody attacks. Above it, the indifference
-    condition is solved by bisection on [1e-12, 1]; when even p=1 leaves
-    attacking strictly profitable the game saturates at p*=1.
+    to the defender's side) nobody attacks. When even p=1 leaves attacking
+    strictly profitable the game saturates at p*=1. Otherwise the
+    indifference condition is solved by Brent's method in x = log p on
+    [log 1e-12, 0], to a bracket a few ulps wide in p; `residual` is the
+    indifference gap left at p*.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1 (got {n})")
@@ -142,25 +142,59 @@ def equilibrium_attack_probability(n: int, expected_reward: float,
                                  regime="saturated",
                                  residual=abs(full))
 
-    lo, hi = 1e-12, 1.0  # gap(lo) > 0 since E[1/K|K>=1] -> 1, gap(hi) <= 0
-    for _ in range(_BISECTION_STEPS):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        value = gap(mid)
-        if value == 0.0:
-            lo = hi = mid
-            break
-        if value > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    p_star = 0.5 * (lo + hi)
+    x, value = _brent(lambda x: gap(math.exp(x)), math.log(1e-12), 0.0, full)
+    p_star = math.exp(x)
     return EquilibriumResult(attack_probability=p_star,
                              expected_attackers=n * p_star,
                              per_attacker_profit=0.0,
                              regime="interior",
-                             residual=abs(gap(p_star)))
+                             residual=abs(value))
+
+
+def _brent(f, a: float, b: float, fb: float) -> tuple[float, float]:
+    """Root of the decreasing f on [a, b], given fb = f(b) <= 0, by Brent's
+    bracketing method (the brentq variant: secant or inverse quadratic
+    steps, bisection whenever they would not shrink the bracket fast
+    enough). Returns (x, f(x)) at a root hit exactly, or at the end with
+    the smaller |f| of a bracket narrower than 4 eps (1 + |x|): a few ulps
+    of x, and of p = exp(x) where x is near 0. When f(a) <= 0 there is no
+    sign change and a is returned. Spends at most _MAX_GAP_EVALS
+    evaluations of f."""
+    eps = math.ulp(1.0)
+    x_pre, f_pre = a, f(a)
+    if f_pre <= 0.0:
+        return x_pre, f_pre
+    x_cur, f_cur = b, fb
+    x_blk = f_blk = s_pre = s_cur = 0.0
+    for _ in range(_MAX_GAP_EVALS - 1):
+        if f_pre != 0.0 and f_cur != 0.0 and (f_pre < 0.0) != (f_cur < 0.0):
+            x_blk, f_blk = x_pre, f_pre
+            s_pre = s_cur = x_cur - x_pre
+        if abs(f_blk) < abs(f_cur):
+            x_pre, x_cur, x_blk = x_cur, x_blk, x_cur
+            f_pre, f_cur, f_blk = f_cur, f_blk, f_cur
+        delta = 2.0 * eps * (1.0 + abs(x_cur))
+        s_bis = 0.5 * (x_blk - x_cur)
+        if f_cur == 0.0 or abs(s_bis) < delta:
+            break
+        if abs(s_pre) > delta and abs(f_cur) < abs(f_pre):
+            if x_pre == x_blk:  # secant
+                s_try = -f_cur * (x_cur - x_pre) / (f_cur - f_pre)
+            else:  # inverse quadratic interpolation
+                d_pre = (f_pre - f_cur) / (x_pre - x_cur)
+                d_blk = (f_blk - f_cur) / (x_blk - x_cur)
+                s_try = -f_cur * (f_blk * d_blk - f_pre * d_pre) \
+                    / (d_blk * d_pre * (f_blk - f_pre))
+            if 2.0 * abs(s_try) < min(abs(s_pre), 3.0 * abs(s_bis) - delta):
+                s_pre, s_cur = s_cur, s_try
+            else:
+                s_pre = s_cur = s_bis
+        else:
+            s_pre = s_cur = s_bis
+        x_pre, f_pre = x_cur, f_cur
+        x_cur += s_cur if abs(s_cur) > delta else math.copysign(delta, s_bis)
+        f_cur = f(x_cur)
+    return x_cur, f_cur
 
 
 def strict_dominance_delay(speedup: float, cost_rate: float,

@@ -15,6 +15,7 @@ with completion strictly before the honest reveal counting as success
 from __future__ import annotations
 
 import math
+import numbers
 import statistics
 from dataclasses import dataclass
 from functools import partial
@@ -55,7 +56,8 @@ class SimConfig:
 
     def violations(self) -> list[str]:
         out = []
-        if not (float(self.trials).is_integer() and self.trials >= 1):
+        if isinstance(self.trials, bool) or not (
+                isinstance(self.trials, numbers.Integral) and self.trials >= 1):
             out.append(f"trials must be a positive integer (got {self.trials})")
         if not self.time_step > 0.0:
             out.append(f"time_step must be > 0 (got {self.time_step})")
@@ -97,9 +99,14 @@ def _per_block(cfg: SimConfig, draw) -> np.ndarray:
 
 
 def _mean_se(x: np.ndarray) -> tuple[float, float]:
-    """Sample mean and its standard error (0 for a single value)."""
+    """Sample mean and its standard error (0 for a single value). Both are
+    taken on x scaled by a power of two to |x| <= 1, which moves no bit of
+    either for a sample of normal floats but keeps the sum and the squares
+    finite when |x| nears the largest float."""
+    exponent = math.frexp(float(np.max(np.abs(x))))[1]
+    x = np.ldexp(x, -exponent)
     se = float(np.std(x, ddof=1) / math.sqrt(x.size)) if x.size > 1 else 0.0
-    return float(np.mean(x)), se
+    return math.ldexp(float(np.mean(x)), exponent), math.ldexp(se, exponent)
 
 
 def _z_value(confidence: float) -> float:

@@ -87,6 +87,10 @@ BAD_CLI_NUMBERS = [
     (CONSTANT_300, ["solve", "--dt", "5", "--vmax", "inf"], "reward_max"),
     (BASELINE, ["simulate", "--trials", "10", "--delay", "inf"], "delay"),
     (BASELINE, ["threshold", "--delay", "nan"], "candidate_delay"),
+    # negative values given as their own argv item
+    (BASELINE, ["threshold", "--delay", "-1e3"], "candidate_delay"),
+    (CONSTANT_300, ["solve", "--dt", "-1e3"], "time_step"),
+    (CONSTANT_300, ["solve", "--dt", "5", "--vmax", "-inf"], "reward_max"),
 ]
 
 
@@ -126,15 +130,23 @@ def module_baseline_file(tmp_path_factory):
 
 @given(delay=st.floats(allow_nan=True, allow_infinity=True))
 def test_any_delay_keeps_the_exit_code_contract(module_baseline_file, delay):
+    # the value joined to the option and as its own argv item (`-1e3`,
+    # `-inf`) must reach the same checks
     for argv in (["threshold"], ["equilibrium"],
                  ["simulate", "--trials", "100"]):
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(err):
-            rc = main([argv[0], module_baseline_file, *argv[1:],
-                       f"--delay={delay!r}"])
-        assert rc in (0, 1, 2, 3)
-        assert "Traceback" not in err.getvalue()
+        runs = []
+        for value in ([f"--delay={delay!r}"], ["--delay", repr(delay)]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                rc = main([argv[0], module_baseline_file, *argv[1:], *value])
+            assert rc in (0, 1, 2, 3)
+            assert "Traceback" not in err.getvalue()
+            # numpy warns once per process, so only error lines compare
+            errors = [line for line in err.getvalue().splitlines()
+                      if "error:" in line]
+            runs.append((rc, out.getvalue(), errors))
+        assert runs[0] == runs[1]
 
 
 class TestThresholdCommand:

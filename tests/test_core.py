@@ -117,15 +117,37 @@ def test_validated_scenarios_pass_downstream_preconditions():
 
 
 def test_harmonic_number_small_values():
+    assert harmonic_number(0) == 0.0
     assert harmonic_number(1) == 1.0
     assert harmonic_number(2) == 1.5
     assert harmonic_number(4) == 25.0 / 12.0
 
 
+def _direct_harmonic(n):
+    return math.fsum(1.0 / i for i in range(1, n + 1))
+
+
+def test_harmonic_number_is_the_exact_sum_up_to_1024():
+    for n in range(1025):
+        assert harmonic_number(n) == _direct_harmonic(n)
+
+
 def test_harmonic_number_asymptotic_matches_direct_sum():
-    n = 10 ** 6 + 1  # first n on the asymptotic branch
-    direct = math.fsum(1.0 / i for i in range(1, n + 1))
-    assert harmonic_number(n) == pytest.approx(direct, abs=1e-10)
+    # 1025 is the first n on the Euler-Maclaurin branch
+    for n in (1025, 2000, 10 ** 4, 2 ** 16, 10 ** 6, 10 ** 6 + 1, 2 ** 20):
+        direct = _direct_harmonic(n)
+        assert abs(harmonic_number(n) - direct) <= 2 * math.ulp(direct), n
+
+
+def test_harmonic_number_increases_across_the_branch_cutoff():
+    values = [harmonic_number(n) for n in range(1000, 1100)]
+    assert all(b > a for a, b in zip(values, values[1:]))
+
+
+@pytest.mark.parametrize("n", [-1, -3, 2.0, 1.5, True, "4", None])
+def test_harmonic_number_rejects_non_counts(n):
+    with pytest.raises(ValueError, match="n must be"):
+        harmonic_number(n)
 
 
 class TestRewardModels:

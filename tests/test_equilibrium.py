@@ -240,7 +240,10 @@ class TestEquilibrium:
         result = equilibrium_attack_probability(4, 0.0, 0.05, 100.0, 3.0)
         assert result.regime == "no-attack"
 
-    def test_bit_identical_to_oracle_bisection(self):
+    def test_matches_oracle_bisection(self):
+        # regimes and the no-attack and saturated results are exact; an
+        # interior p* from the Brent root agrees with the full-precision
+        # bisection to 1e-11 and leaves an indifference gap of 1e-12 E[V]
         rng = np.random.default_rng(4)
         regimes = {"no-attack": 0, "interior": 0, "saturated": 0}
         for _ in range(200):
@@ -254,22 +257,55 @@ class TestEquilibrium:
             delay = ratio * reward * speedup / cost_rate
             args = (n, reward, cost_rate, delay, speedup)
             result = equilibrium_attack_probability(*args)
-            assert result == oracle_equilibrium(*args)
+            oracle = oracle_equilibrium(*args)
+            assert result.regime == oracle.regime
             regimes[result.regime] += 1
+            if result.regime != "interior":
+                assert result == oracle
+                continue
+            p_star = result.attack_probability
+            assert p_star == pytest.approx(oracle.attack_probability,
+                                           rel=1e-11)
+            assert result.expected_attackers == n * p_star
+            assert result.per_attacker_profit == 0.0
+            cost = cost_rate * delay / speedup
+            gap = oracle_conditional_inverse(n, p_star) * reward - cost
+            assert abs(gap) <= 1e-12 * reward
+            assert result.residual <= 1e-12 * reward
         assert min(regimes.values()) >= 10, regimes
 
-    def test_a_solve_builds_the_binomial_row_once(self):
+    def _counted_solve(self, monkeypatch, *args):
+        calls = []
+
+        def counted(n, p):
+            calls.append(p)
+            return conditional_inverse_expectation(n, p)
+
+        monkeypatch.setattr(equilibrium, "conditional_inverse_expectation",
+                            counted)
+        return equilibrium_attack_probability(*args), len(calls)
+
+    def test_a_solve_builds_the_binomial_row_once(self, monkeypatch):
         row = equilibrium._binomial_row
         row.cache_clear()
-        result = equilibrium_attack_probability(4001, 10.0, 0.05, 400.0, 3.0)
+        result, gap_evals = self._counted_solve(
+            monkeypatch, 4001, 10.0, 0.05, 400.0, 3.0)
         assert result.regime == "interior"
         info = row.cache_info()
         assert info.misses == 1
-        assert info.hits >= 40
+        # every evaluation reads the row once, except the one at p = 1
+        assert info.hits == gap_evals - 2
         for array in row(4001):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 0.0
+
+    def test_an_interior_solve_spends_few_gap_evaluations(self, monkeypatch):
+        # the bisection to full precision spent 66 here
+        result, gap_evals = self._counted_solve(
+            monkeypatch, 4001, 10.0, 0.05, 400.0, 3.0)
+        assert result.regime == "interior"
+        assert gap_evals <= 25
 
     @pytest.mark.parametrize("field, args", [
         ("expected_reward", (3, math.inf, 0.05, 600.0, 3.0)),

@@ -141,6 +141,19 @@ class TestCommitProfits:
         assert low <= est.mean <= high
         assert est.positive_profit_fraction == pytest.approx(0.9938, abs=0.01)
 
+    def test_profit_estimate_near_the_largest_float(self):
+        # profits of -1e306 (a delay near 1e308) once squared to inf in the
+        # standard error and warned; the scaled sums keep it finite
+        rng = np.random.default_rng(0)
+        samples = -1e306 * rng.uniform(1.0, 1.5, 100)
+        est = profit_estimate(samples, 0.99)
+        assert est.mean == pytest.approx(-1.25e306, rel=0.1)
+        assert 0.0 < est.std_error < 1e306
+        assert all(math.isfinite(end) for end in est.confidence_interval)
+        scaled = profit_estimate(samples / 1e300, 0.99)
+        assert est.std_error == pytest.approx(scaled.std_error * 1e300,
+                                              rel=1e-12)
+
 
 class TestRollout:
     def test_constant_profitable_delay(self):
@@ -264,6 +277,14 @@ class TestConfigValidation:
     def test_zero_trials_rejected(self, baseline_scenario):
         with pytest.raises(ValueError, match="trials"):
             commit_profit_samples(baseline_scenario, SimConfig(trials=0))
+
+    @pytest.mark.parametrize("trials", [1000.0, 2.5, True, "1000"])
+    def test_non_integer_trials_rejected(self, baseline_scenario, trials):
+        # an integral float used to pass the check and fail inside numpy
+        with pytest.raises(ValueError,
+                           match="trials must be a positive integer"):
+            commit_profit_samples(baseline_scenario,
+                                  SimConfig(trials=trials))
 
     def test_bad_time_step_rejected(self):
         with pytest.raises(ValueError, match="time_step"):
