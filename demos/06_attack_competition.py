@@ -10,7 +10,7 @@ lone attacker underwater.
 from esdp import (
     conditional_inverse_expectation,
     equilibrium_attack_probability,
-    strict_dominance_delay,
+    linear_threshold,
 )
 
 REWARD = 10.0  # USD
@@ -29,7 +29,7 @@ for delay in (60.0, 150.0, 300.0, 450.0, 599.0, 600.0, 700.0):
           f"{result.attack_probability:>8.4f} "
           f"{result.expected_attackers:>13.3f}")
 
-dominance = strict_dominance_delay(SPEEDUP, COST_RATE, REWARD)
+dominance = linear_threshold(SPEEDUP, COST_RATE, REWARD)
 print(f"\nStrict-dominance delay: {dominance:.0f} s. At or above it, "
       "honest behavior\nbeats attacking even for a lone attacker, so "
       "p* = 0 for every n;\nbelow it, equilibrium attack activity is "

@@ -55,8 +55,6 @@ EXIT_PARSE = 1
 EXIT_INVALID = 2
 EXIT_INSECURE = 3
 
-_OUT_ENV_VAR = "ESDP_OUT_DIR"  # optional default for --out
-
 
 def _fmt(value: float) -> str:
     return f"{value:.6g}"
@@ -72,8 +70,7 @@ def _json(payload: dict) -> str:
 
 
 def _resolve_out(args, default=None) -> str | None:
-    out = args.out if args.out is not None \
-        else os.environ.get(_OUT_ENV_VAR, default)
+    out = args.out if args.out is not None else default
     if out is not None:
         os.makedirs(out, exist_ok=True)
     return out

@@ -417,6 +417,9 @@ class Scenario:
     grinding_cost_exponent sets how provisioning cost scales with grinding
     size G: 1 for fully parallel streams (cost G*c), 0.5 for partially
     shared hardware (cost c*sqrt(G)).
+
+    Each field after `reward` is the scenario-file key of the same name,
+    and its default sets the key's type: an int a count, a tuple a list.
     """
 
     env: EconomicEnvironment

@@ -21,14 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .thresholds import linear_threshold
-
 __all__ = [
     "EquilibriumResult",
     "attacker_payoff",
     "conditional_inverse_expectation",
     "equilibrium_attack_probability",
-    "strict_dominance_delay",
 ]
 
 _MAX_GAP_EVALS = 100
@@ -195,12 +192,3 @@ def _brent(f, a: float, b: float, fb: float) -> tuple[float, float]:
         x_cur += s_cur if abs(s_cur) > delta else math.copysign(delta, s_bis)
         f_cur = f(x_cur)
     return x_cur, f_cur
-
-
-def strict_dominance_delay(speedup: float, cost_rate: float,
-                           expected_reward: float) -> float:
-    """Smallest delay at which honest behavior strictly dominates attacking
-    for every player count: the single-attacker break-even
-    (speedup/cost_rate)*E[V]. At or above it the equilibrium is no-attack
-    for every n."""
-    return linear_threshold(speedup, cost_rate, expected_reward)

@@ -19,7 +19,7 @@ identity.
 
 from __future__ import annotations
 
-from dataclasses import fields
+from dataclasses import MISSING, fields
 
 from .core import (
     Bounded,
@@ -56,7 +56,11 @@ _REWARD_KEYS: dict[type[RewardModel], tuple[str, ...]] = {
     MarkovOU: ("initial", "long_run_mean", "reversion_rate", "volatility"),
 }
 _REWARD_KINDS = {cls.kind: cls for cls in _REWARD_KEYS}
-_LIST_KEYS = {"protocol_means", "reward.samples"}
+_ENV_FIELDS = fields(EconomicEnvironment)
+# the attack-surface modifiers: every Scenario field after env and reward
+_MODIFIERS = fields(Scenario)[2:]
+_LIST_KEYS = {"reward.samples",
+              *(f.name for f in _MODIFIERS if isinstance(f.default, tuple))}
 
 
 def _parse_float(key: str, raw: str) -> float:
@@ -90,6 +94,9 @@ def _parse_list(key: str, raw: str) -> tuple[float, ...]:
     return tuple(_parse_float(key, piece) for piece in items)
 
 
+_PARSERS = {int: _parse_count, tuple: _parse_list}
+
+
 def parse_scenario_text(text: str) -> Scenario:
     """Parse scenario text into a Scenario (not yet validated)."""
     entries: dict[str, str] = {}
@@ -108,32 +115,21 @@ def parse_scenario_text(text: str) -> Scenario:
             raise ScenarioParseError(f"line {lineno}: duplicate key {key!r}")
         entries[key] = value
 
-    def take(key, parser, default=None):
-        if key not in entries:
-            if default is None:
-                raise ScenarioParseError(f"missing required key {key!r}")
-            return default
-        return parser(key, entries.pop(key))
+    def take(key, field):
+        """The field's value under `key`, parsed as the type of its
+        default; a field without a default is a required number."""
+        if key in entries:
+            parser = _PARSERS.get(type(field.default), _parse_float)
+            return parser(key, entries.pop(key))
+        if field.default is MISSING:
+            raise ScenarioParseError(f"missing required key {key!r}")
+        return field.default
 
-    env = EconomicEnvironment(
-        speedup=take("env.speedup", _parse_float),
-        cost_rate=take("env.cost_rate", _parse_float),
-        honest_delay=take("env.honest_delay", _parse_float),
-        seed_time=take("env.seed_time", _parse_float, default=0.0),
-    )
+    env = EconomicEnvironment(*(take(f"env.{field.name}", field)
+                                for field in _ENV_FIELDS))
     reward = _parse_reward(entries)
-    scenario = Scenario(
-        env=env,
-        reward=reward,
-        grinding_size=take("grinding_size", _parse_count, default=1),
-        abort_probability=take("abort_probability", _parse_float, default=0.0),
-        protocol_means=take("protocol_means", _parse_list, default=()),
-        coalition_size=take("coalition_size", _parse_count, default=1),
-        players=take("players", _parse_count, default=1),
-        rounds=take("rounds", _parse_count, default=1),
-        grinding_cost_exponent=take("grinding_cost_exponent", _parse_float,
-                                    default=1.0),
-    )
+    scenario = Scenario(env, reward,
+                        *(take(field.name, field) for field in _MODIFIERS))
     if entries:
         unknown = ", ".join(sorted(entries))
         raise ScenarioParseError(f"unknown keys: {unknown}")
@@ -182,18 +178,14 @@ def serialize_scenario(s: Scenario) -> str:
         raise ScenarioParseError(
             f"cannot serialize reward model kind {reward.kind!r}")
     lines = [_line(f"env.{field.name}", getattr(s.env, field.name))
-             for field in fields(s.env)]
+             for field in _ENV_FIELDS]
     lines.append(f"reward.kind = {reward.kind}")
     lines += [_line(f"reward.{key}", getattr(reward, field.name))
               for key, field in zip(keys, fields(reward))]
-    lines += [f"grinding_size = {s.grinding_size}",
-              _line("abort_probability", s.abort_probability)]
-    if s.protocol_means:
-        lines.append(_line("protocol_means", s.protocol_means))
-    lines += [
-        f"coalition_size = {s.coalition_size}",
-        f"players = {s.players}",
-        f"rounds = {s.rounds}",
-        _line("grinding_cost_exponent", s.grinding_cost_exponent),
-    ]
+    for field in _MODIFIERS:
+        value = getattr(s, field.name)
+        if isinstance(field.default, int):
+            lines.append(f"{field.name} = {value}")
+        elif not (isinstance(field.default, tuple) and len(value) == 0):
+            lines.append(_line(field.name, value))
     return "\n".join(lines) + "\n"

@@ -291,14 +291,17 @@ def extract_decision_boundary(pg: PolicyGrid) -> np.ndarray:
     cell; +inf marks cells where computing is never optimal (infeasible
     states and everything at or after the reveal). Requires a monotone
     policy so the boundary is well defined."""
-    report = check_threshold_structure(pg)
-    if not report.passed:
+    compute = pg.compute
+    n_v = compute.shape[1]
+    first = np.where(compute.any(axis=1), compute.argmax(axis=1), n_v)
+    # every idle cell above a slice's first compute is one violation of
+    # check_threshold_structure, so they count the same
+    gaps = int((n_v - first - np.count_nonzero(compute, axis=1)).sum())
+    if gaps:
         raise ValueError(
-            f"policy has {report.violation_count} reward-monotonicity "
+            f"policy has {gaps} reward-monotonicity "
             "violations; boundary undefined (see check_threshold_structure)")
-    any_compute = pg.compute.any(axis=1)
-    first = pg.compute.argmax(axis=1)
-    return np.where(any_compute, pg.v_values[first], np.inf)
+    return np.append(pg.v_values, np.inf)[first]
 
 
 def write_grid_csv(vg: ValueGrid, pg: PolicyGrid, path) -> None:

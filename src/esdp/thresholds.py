@@ -277,9 +277,8 @@ def esdp(scenario: Scenario,
         required["composition"] = condition("composition", lambda: composition_threshold(
             env.speedup, env.cost_rate, scenario.protocol_means))
     if scenario.rounds > 1:
-        prefix = [mean_reward * k for k in range(1, scenario.rounds + 1)]
-        required["multiround"] = condition("multiround", lambda: multiround_threshold(
-            env.speedup, env.cost_rate, prefix))
+        # i.i.d. rounds make max_k k*E[V]/k equal to E[V]
+        required["multiround"] = required["linear"]
 
     esdp_value = max(required.values())
     binding = next(name for name, value in required.items()

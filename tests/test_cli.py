@@ -168,6 +168,17 @@ class TestThresholdCommand:
         assert rc == 0
         assert "ESDP" in out and "linear" in out
 
+    def test_rounds_never_bind_above_linear(self, tmp_path, capsys):
+        # (0.1 * 3) / 3 rounds one ulp above 0.1, which once made a
+        # multiround row bind just past the linear one
+        path = tmp_path / "rounds.scenario"
+        path.write_text(BASELINE.replace("10.0", "0.1") + "rounds = 3\n")
+        rc = main(["threshold", str(path), "--delay", "6"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "ESDP: 6 s (binding: linear)" in out
+        assert "verdict: SECURE at delay 6 s" in out
+
     def test_empty_scenario_file(self, tmp_path):
         empty = tmp_path / "empty.scenario"
         empty.write_text("")
@@ -368,12 +379,6 @@ class TestCaseStudyCommand:
 
     def test_unknown_id_exits_two(self, capsys):
         assert main(["casestudy", "--id", "9"]) == 2
-
-    def test_default_out_env_override(self, tmp_path, monkeypatch):
-        target = tmp_path / "from-env"
-        monkeypatch.setenv("ESDP_OUT_DIR", str(target))
-        assert main(["casestudy", "--id", "2"]) == 0
-        assert (target / "case2.csv").exists()
 
 
 class TestMiscellaneous:

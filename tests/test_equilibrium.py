@@ -11,7 +11,6 @@ from esdp.equilibrium import (
     attacker_payoff,
     conditional_inverse_expectation,
     equilibrium_attack_probability,
-    strict_dominance_delay,
 )
 from esdp.thresholds import linear_threshold
 
@@ -222,15 +221,16 @@ class TestEquilibrium:
         assert interior_seen > 50
 
     def test_strict_dominance_delay_suppresses_attacks_for_all_n(self):
-        delay = strict_dominance_delay(3.0, 0.05, 10.0)
-        assert delay == linear_threshold(3.0, 0.05, 10.0)
+        # the single-attacker break-even is where honesty strictly
+        # dominates for every player count
+        delay = linear_threshold(3.0, 0.05, 10.0)
         for n in range(1, 51):
             result = equilibrium_attack_probability(n, 10.0, 0.05, delay, 3.0)
             assert result.attack_probability == 0.0
             assert result.regime == "no-attack"
 
     def test_attacks_exist_below_the_dominance_delay(self):
-        delay = strict_dominance_delay(3.0, 0.05, 10.0)
+        delay = linear_threshold(3.0, 0.05, 10.0)
         for n in (1, 2, 10):
             result = equilibrium_attack_probability(n, 10.0, 0.05,
                                                     0.9 * delay, 3.0)

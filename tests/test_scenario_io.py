@@ -1,4 +1,4 @@
-from dataclasses import fields
+from dataclasses import MISSING, fields, replace
 
 import numpy as np
 import pytest
@@ -94,6 +94,33 @@ def test_round_trip_identity(reward):
     parsed = parse_scenario_text(text)
     assert parsed == scenario
     assert serialize_scenario(parsed) == text
+
+
+def _off_default(field, index):
+    """A value for `field` unlike its default (and unlike other fields')."""
+    if isinstance(field.default, int):
+        return field.default + index + 1
+    if isinstance(field.default, tuple):
+        return (index + 0.5, index + 1.5)
+    base = 0.0 if field.default is MISSING else field.default
+    return base + index + 0.25
+
+
+def test_every_field_has_a_file_key():
+    env = EconomicEnvironment(*(
+        _off_default(field, i)
+        for i, field in enumerate(fields(EconomicEnvironment))))
+    modifiers = fields(Scenario)[2:]
+    scenario = replace(Scenario(env, Exponential(2.5)), **{
+        field.name: _off_default(field, i)
+        for i, field in enumerate(modifiers)})
+    text = serialize_scenario(scenario)
+    keys = [line.partition(" = ")[0] for line in text.splitlines()]
+    assert keys == [*(f"env.{field.name}"
+                      for field in fields(EconomicEnvironment)),
+                    "reward.kind", "reward.mean",
+                    *(field.name for field in modifiers)]
+    assert parse_scenario_text(text) == scenario
 
 
 def test_round_trip_preserves_awkward_floats():

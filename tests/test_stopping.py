@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from esdp.core import (
     Constant,
@@ -215,6 +217,34 @@ class TestBoundary:
                        pg.spec, pg.scenario)
         with pytest.raises(ValueError, match="monotonicity"):
             extract_decision_boundary(bad)
+
+    @given(data=st.data(), n_s=st.integers(1, 4), n_v=st.integers(1, 6),
+           n_t=st.integers(1, 4))
+    def test_boundary_agrees_with_the_audit(self, data, n_s, n_v, n_t):
+        # monotone columns from random first-compute indices, then a few
+        # flipped cells, which may or may not break monotonicity
+        first = np.array(data.draw(st.lists(
+            st.integers(0, n_v), min_size=n_s * n_t, max_size=n_s * n_t)))
+        compute = np.arange(n_v)[None, :, None] >= \
+            first.reshape(n_s, 1, n_t)
+        for j, i, k in data.draw(st.lists(st.tuples(
+                st.integers(0, n_s - 1), st.integers(0, n_v - 1),
+                st.integers(0, n_t - 1)), max_size=4)):
+            compute[j, i, k] = not compute[j, i, k]
+        v_values = np.linspace(0.0, 5.0, n_v)
+        pg = PolicyGrid(compute, np.arange(n_s, dtype=float), v_values,
+                        np.arange(n_t, dtype=float), None, None)
+        report = check_threshold_structure(pg)
+        if not report.passed:
+            with pytest.raises(ValueError, match=(
+                    f"^policy has {report.violation_count} "
+                    "reward-monotonicity violations")):
+                extract_decision_boundary(pg)
+            return
+        expected = np.where(compute.any(axis=1),
+                            v_values[compute.argmax(axis=1)], np.inf)
+        np.testing.assert_array_equal(extract_decision_boundary(pg),
+                                      expected)
 
 
 class TestRefinement:

@@ -1,11 +1,15 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from esdp import core
 from esdp.core import (
+    Bounded,
     Constant,
     EconomicEnvironment,
     Exponential,
@@ -191,6 +195,33 @@ class TestMultiround:
         prefix = list(np.cumsum(means))
         assert multiround_threshold_subsets(3.0, 0.05, means) > \
             multiround_threshold(3.0, 0.05, prefix)
+
+    @given(speedup=st.floats(1.0, 1e6), cost=st.floats(1e-6, 1e3),
+           delay=st.floats(1e-3, 1e9),
+           reward=st.one_of(st.builds(Constant, st.floats(0.0, 1e9)),
+                            st.builds(Exponential, st.floats(0.0, 1e9)),
+                            st.builds(Bounded, st.floats(0.0, 1e9))),
+           rounds=st.integers(2, 10 ** 18), grinding=st.integers(1, 64),
+           abort=st.floats(0.0, 0.99), coalition=st.integers(1, 100),
+           means=st.lists(st.floats(0.0, 1e9), max_size=3))
+    def test_rounds_repeat_the_linear_row(self, speedup, cost, delay, reward,
+                                          rounds, grinding, abort, coalition,
+                                          means):
+        scenario = Scenario(EconomicEnvironment(speedup, cost, delay), reward,
+                            grinding_size=grinding, abort_probability=abort,
+                            protocol_means=tuple(means),
+                            coalition_size=coalition, rounds=rounds)
+        report = esdp(scenario)
+        assert report.required_delays["multiround"] == \
+            report.required_delays["linear"]
+        assert report.binding_condition != "multiround"
+
+    def test_round_count_costs_nothing(self, baseline_env):
+        scenario = Scenario(baseline_env, Exponential(10.0), rounds=10 ** 18)
+        start = time.perf_counter()
+        report = esdp(scenario)
+        assert time.perf_counter() - start < 0.05
+        assert report.required_delays["multiround"] == 600.0
 
 
 class TestGrinding:
