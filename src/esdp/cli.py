@@ -6,11 +6,12 @@ boundary), simulate (seeded profit simulation), casestudy (preset tables
 and SVG figures), rerun (re-execute a recorded manifest).
 
 Exit codes are a contract: 0 ok/secure, 1 I/O or parse error,
-2 validation or unsupported input, 3 insecure verdict. Every run that
-writes files also writes a manifest.json recording the resolved inputs,
-seed and tool version; re-running the manifest reproduces the outputs
-byte for byte for deterministic subcommands and for any fixed seed
-otherwise. Tables print at 6 significant digits; files carry 17.
+2 validation, unsupported input or an array too large to allocate,
+3 insecure verdict. Every run that writes files also writes a
+manifest.json recording the resolved inputs, seed and tool version;
+re-running the manifest reproduces the outputs byte for byte for
+deterministic subcommands and for any fixed seed otherwise. Tables
+print at 6 significant digits; files carry 17.
 """
 
 from __future__ import annotations
@@ -374,6 +375,10 @@ def main(argv=None) -> int:
         return EXIT_PARSE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    except MemoryError as exc:
+        # a grid or trial count too large to allocate on this machine
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_INVALID
 
 

@@ -241,6 +241,10 @@ def rollout_policy(policy_grid, scenario: Scenario,
     cost_rate per second while computing, and pays out the current reward
     on completion strictly before the honest reveal. Requires the same
     scenario the policy was solved for.
+
+    Each step reads one time slice of the policy. The time-major layout
+    that `solve` returns (time the slowest axis in memory) is read in
+    place; any other layout is copied once into it.
     """
     _check_config(cfg)
     scenario = validate_scenario(scenario)
@@ -251,38 +255,44 @@ def rollout_policy(policy_grid, scenario: Scenario,
     compute = policy_grid.compute
     v_values = policy_grid.v_values
     n_s, n_v, n_t = compute.shape
+    by_time = np.ascontiguousarray(np.moveaxis(compute, 2, 0)).reshape(n_t, -1)
     final_work = n_s - 1          # index of the completed (s = 0) state
     horizon_idx = n_t - 1         # honest reveal time index
     dt = policy_grid.spec.time_step
-    step_cost = env.cost_rate * dt
+    # paid[n]: the cost after n compute steps, summed in sequence
+    paid = np.full(n_t, env.cost_rate * dt)
+    paid[0] = 0.0
+    np.add.accumulate(paid, out=paid)
     dv = v_values[1] - v_values[0] if n_v > 1 else 0.0
 
     is_ou = isinstance(model, MarkovOU)
     v0 = model.mean()
 
+    def reward_cells(v):
+        if dv > 0.0:
+            return np.clip(np.rint(v / dv), 0, n_v - 1).astype(np.intp)
+        return np.zeros(v.size, dtype=np.intp)
+
     def profits(rng, size):
         v = np.full(size, v0)
+        cell = reward_cells(v)
         work = np.zeros(size, dtype=np.intp)
-        cost = np.zeros(size)
         reward = np.zeros(size)
         running = np.ones(size, dtype=bool)
         for k in range(horizon_idx):
             if not running.any():
                 break
-            if dv > 0.0:
-                v_idx = np.clip(np.rint(v / dv), 0, n_v - 1).astype(np.intp)
-            else:
-                v_idx = np.zeros(size, dtype=np.intp)
-            act = compute[work, v_idx, k] & running
-            cost[act] += step_cost
+            act = by_time[k].take(work * n_v + cell)
+            act &= running
             if is_ou:
                 v = model.step(v, dt, rng)
-            work[act] += 1
+                cell = reward_cells(v)
+            work += act
             finished = act & (work == final_work)
-            succeeded = finished & (k + 1 < horizon_idx)
-            reward[succeeded] = v[succeeded]
+            if k + 1 < horizon_idx:
+                np.copyto(reward, v, where=finished)
             running &= ~finished
-        return reward - cost
+        return reward - paid[work]
 
     return profit_estimate(_per_block(cfg, profits), cfg.confidence)
 

@@ -274,13 +274,33 @@ def initial_security_verdict(vg: ValueGrid) -> InitialSecurityVerdict:
                                   tolerance=tolerance)
 
 
+def _first_compute(compute: np.ndarray) -> tuple[np.ndarray, int]:
+    """Per (work, time) slice of a policy: the index of the first computing
+    reward (n_v when none), C-ordered, and the number of idle cells above
+    it summed over all slices. Each such cell is one violation of the
+    upper-set structure, so `gaps` is the audit's violation count.
+
+    Reads the policy time-major, where each slice is contiguous, so the
+    time-major layout `solve` returns is scanned without a copy."""
+    n_v = compute.shape[1]
+    by_time = np.moveaxis(compute, 2, 0)
+    count = np.count_nonzero(by_time, axis=2)
+    first = np.where(count > 0, by_time.argmax(axis=2), n_v)
+    gaps = int((n_v - first - count).sum())
+    return np.ascontiguousarray(first.T), gaps
+
+
 def check_threshold_structure(pg: PolicyGrid) -> StructureReport:
     """Audit the policy for reward monotonicity: within every (work, time)
     slice the compute region must be an upper set in the reward. Returns
-    the violating triples (content of the report, not an error)."""
-    seen_below = np.logical_or.accumulate(pg.compute, axis=1)
-    violating = ~pg.compute & seen_below
-    violations = np.argwhere(violating)
+    the violating triples (content of the report, not an error). The
+    violations are counted first and listed only when some exist."""
+    _, gaps = _first_compute(pg.compute)
+    if gaps:
+        seen_below = np.logical_or.accumulate(pg.compute, axis=1)
+        violations = np.argwhere(~pg.compute & seen_below)
+    else:
+        violations = np.empty((0, 3), np.intp)
     return StructureReport(violation_count=int(violations.shape[0]),
                            violations=violations,
                            cells_checked=int(pg.compute.size))
@@ -291,12 +311,7 @@ def extract_decision_boundary(pg: PolicyGrid) -> np.ndarray:
     cell; +inf marks cells where computing is never optimal (infeasible
     states and everything at or after the reveal). Requires a monotone
     policy so the boundary is well defined."""
-    compute = pg.compute
-    n_v = compute.shape[1]
-    first = np.where(compute.any(axis=1), compute.argmax(axis=1), n_v)
-    # every idle cell above a slice's first compute is one violation of
-    # check_threshold_structure, so they count the same
-    gaps = int((n_v - first - np.count_nonzero(compute, axis=1)).sum())
+    first, gaps = _first_compute(pg.compute)
     if gaps:
         raise ValueError(
             f"policy has {gaps} reward-monotonicity "

@@ -11,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import esdp
+import esdp.cli
 from esdp import core
 from esdp.cli import main
 
@@ -284,6 +285,22 @@ class TestSolveCommand:
         assert rc == 2
         assert "constant, markov_ou" in capsys.readouterr().err
 
+    def test_unallocatable_grid_exits_two(self, constant_300_file, tmp_path,
+                                          monkeypatch, capsys):
+        # stands in for `--vpoints 10000000`; a real allocation that large
+        # can succeed lazily under overcommit and then exhaust memory
+        message = ("Unable to allocate 370. GiB for an array with shape "
+                   "(301, 165, 10000000) and data type float64")
+
+        def solve(*args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(esdp.cli, "solve", solve)
+        rc = main(["solve", constant_300_file, "--dt", "1",
+                   "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
 
 class TestSimulateCommand:
     def test_break_even_interval_contains_zero(self, tmp_path, capsys):
@@ -313,6 +330,16 @@ class TestSimulateCommand:
             assert "seed must be in [0, 2**64)" in captured.err
         else:
             assert f"seed: {seed}" in captured.out
+
+    def test_unallocatable_trial_count_exits_two(self, baseline_file,
+                                                 monkeypatch, capsys):
+        def commit_profit_samples(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(esdp.cli, "commit_profit_samples",
+                            commit_profit_samples)
+        assert main(["simulate", baseline_file, "--trials", "10"]) == 2
+        assert capsys.readouterr().err == "error: out of memory\n"
 
     def test_csv_and_manifest_outputs(self, baseline_file, tmp_path):
         out_dir = tmp_path / "sim"

@@ -15,6 +15,7 @@ from esdp.core import (
 from esdp.equilibrium import conditional_inverse_expectation
 from esdp.montecarlo import (
     SimConfig,
+    _per_block,
     commit_profit_samples,
     equilibrium_empirical_check,
     estimate_tail_probability,
@@ -24,7 +25,7 @@ from esdp.montecarlo import (
     simulate_reward_path,
     write_trials_csv,
 )
-from esdp.stopping import GridSpec, initial_value, solve
+from esdp.stopping import GridSpec, PolicyGrid, initial_value, solve
 from esdp.thresholds import epsilon_robust_threshold, expected_max_exponential
 from esdp.thresholds import MomentBounds, ParameterIntervals
 
@@ -199,6 +200,101 @@ class TestRollout:
         other = Scenario(baseline_scenario.env, Constant(11.0))
         with pytest.raises(ValueError, match="different scenario"):
             rollout_policy(pg, other, SimConfig(trials=10))
+
+
+def rollout_oracle(pg, scenario, cfg):
+    """The rollout loop as first written: a fancy-indexed gather from the
+    (work, reward, time) policy and masked cost and reward updates."""
+    model = scenario.reward
+    compute, v_values = pg.compute, pg.v_values
+    n_s, n_v, n_t = compute.shape
+    final_work, horizon_idx = n_s - 1, n_t - 1
+    dt = pg.spec.time_step
+    step_cost = scenario.env.cost_rate * dt
+    dv = v_values[1] - v_values[0]
+
+    def profits(rng, size):
+        v = np.full(size, model.mean())
+        work = np.zeros(size, dtype=np.intp)
+        cost = np.zeros(size)
+        reward = np.zeros(size)
+        running = np.ones(size, dtype=bool)
+        for k in range(horizon_idx):
+            if not running.any():
+                break
+            v_idx = np.clip(np.rint(v / dv), 0, n_v - 1).astype(np.intp)
+            act = compute[work, v_idx, k] & running
+            cost[act] += step_cost
+            if isinstance(model, MarkovOU):
+                v = model.step(v, dt, rng)
+            work[act] += 1
+            finished = act & (work == final_work)
+            succeeded = finished & (k + 1 < horizon_idx)
+            reward[succeeded] = v[succeeded]
+            running &= ~finished
+        return reward - cost
+
+    return profit_estimate(_per_block(cfg, profits), cfg.confidence)
+
+
+ROLLOUT_CASES = {
+    # never profitable: every trial idles to the reveal
+    "constant-idle": (EconomicEnvironment(3.0, 0.05, 1200.0), Constant(10.0),
+                      GridSpec(time_step=2.0, reward_points=51)),
+    # every trial completes at step 100 of 300, so the loop breaks early
+    "constant-early-break": (EconomicEnvironment(3.0, 0.05, 300.0),
+                             Constant(10.0),
+                             GridSpec(time_step=1.0, reward_points=101)),
+    "ou-default": (EconomicEnvironment(3.0, 0.05, 120.0), DEFAULT_OU_REWARD,
+                   GridSpec(time_step=1.0, reward_points=161,
+                            reward_max=32.0)),
+    "ou-volatile": (EconomicEnvironment(4.0, 0.08, 90.0),
+                    MarkovOU(5.0, 12.0, 0.05, 3.0),
+                    GridSpec(time_step=1.5, reward_points=121,
+                             reward_max=60.0, quadrature_nodes=9)),
+}
+
+
+@pytest.fixture(scope="module")
+def rollout_grids():
+    return {name: (Scenario(env, reward), solve(Scenario(env, reward),
+                                                grid)[1])
+            for name, (env, reward, grid) in ROLLOUT_CASES.items()}
+
+
+class TestRolloutBits:
+    @pytest.mark.parametrize("trials", [2 * 4096 + 3, 500])
+    @pytest.mark.parametrize("name", list(ROLLOUT_CASES))
+    def test_equals_the_first_loop(self, rollout_grids, name, trials):
+        scenario, pg = rollout_grids[name]
+        cfg = SimConfig(trials=trials, seed=trials + 17)
+        assert rollout_policy(pg, scenario, cfg) == \
+            rollout_oracle(pg, scenario, cfg)
+
+    @pytest.mark.parametrize("name", ["constant-early-break", "ou-default"])
+    def test_any_policy_layout_gives_the_same_bits(self, rollout_grids,
+                                                   name):
+        scenario, pg = rollout_grids[name]
+        reordered = PolicyGrid(np.ascontiguousarray(pg.compute), pg.s_values,
+                               pg.v_values, pg.t_values, pg.spec,
+                               pg.scenario)
+        assert reordered.compute.flags.c_contiguous
+        cfg = SimConfig(trials=2 * 4096 + 3, seed=5)
+        assert rollout_policy(reordered, scenario, cfg) == \
+            rollout_oracle(pg, scenario, cfg)
+
+    @pytest.mark.parametrize("speedup", [1.0, 3.0])
+    def test_always_computing_policy(self, speedup):
+        # at speedup 1 every trial completes at the reveal, a failure
+        scenario = Scenario(EconomicEnvironment(speedup, 0.05, 60.0),
+                            MarkovOU(5.0, 12.0, 0.05, 3.0))
+        _, pg = solve(scenario, GridSpec(time_step=1.0, reward_points=41,
+                                         reward_max=60.0))
+        pg.compute = np.ones_like(pg.compute)
+        cfg = SimConfig(trials=500, seed=9)
+        est = rollout_policy(pg, scenario, cfg)
+        assert est == rollout_oracle(pg, scenario, cfg)
+        assert (est.positive_profit_fraction == 0.0) == (speedup == 1.0)
 
 
 class TestTailProbability:

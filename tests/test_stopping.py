@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from esdp.core import (
     Constant,
@@ -179,6 +181,56 @@ class TestStructure:
         assert tuple(report.violations[0]) == (j, target, k)
 
 
+def policy(compute):
+    n_s, n_v, n_t = compute.shape
+    return PolicyGrid(compute, np.arange(n_s, dtype=float),
+                      np.linspace(0.0, 5.0, n_v), np.arange(n_t, dtype=float),
+                      None, None)
+
+
+class TestAuditFastPath:
+    @given(data=st.data(), shape=st.tuples(st.integers(1, 4),
+                                           st.integers(1, 6),
+                                           st.integers(1, 4)),
+           monotone=st.booleans(), reorder=st.booleans())
+    def test_report_equals_the_full_pass(self, data, shape, monotone,
+                                         reorder):
+        compute = data.draw(arrays(bool, shape))
+        if monotone:
+            compute = np.sort(compute, axis=1)  # idle below, compute above
+        if reorder:  # the layout `solve` returns: time slowest
+            compute = np.moveaxis(
+                np.ascontiguousarray(np.moveaxis(compute, 2, 0)), 0, 2)
+        expected = np.argwhere(
+            ~compute & np.logical_or.accumulate(compute, axis=1))
+        report = check_threshold_structure(policy(compute))
+        assert report.violation_count == expected.shape[0]
+        assert report.violations.tolist() == expected.tolist()
+        assert report.violations.shape == expected.shape
+        assert report.violations.dtype == expected.dtype
+        assert report.cells_checked == compute.size
+        if monotone:
+            assert report.passed
+
+    def test_monotone_policy_allocates_no_grid(self):
+        # (time, work, reward) = (100, 20, 500): 1 MB, time-major
+        rng = np.random.default_rng(0)
+        first = rng.integers(0, 501, size=(100, 20, 1))
+        pg = policy(np.moveaxis(np.arange(500) >= first, 0, 2))
+        tracemalloc.start()
+        try:
+            report = check_threshold_structure(pg)
+            _, audit_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            extract_decision_boundary(pg)
+            _, boundary_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert audit_peak < pg.compute.nbytes / 2
+        assert boundary_peak < pg.compute.nbytes / 2
+
+
 class TestBoundary:
     def test_constant_boundary_tracks_remaining_cost(self, constant_grids):
         vg, pg = constant_grids
@@ -231,9 +283,7 @@ class TestBoundary:
                 st.integers(0, n_s - 1), st.integers(0, n_v - 1),
                 st.integers(0, n_t - 1)), max_size=4)):
             compute[j, i, k] = not compute[j, i, k]
-        v_values = np.linspace(0.0, 5.0, n_v)
-        pg = PolicyGrid(compute, np.arange(n_s, dtype=float), v_values,
-                        np.arange(n_t, dtype=float), None, None)
+        pg = policy(compute)
         report = check_threshold_structure(pg)
         if not report.passed:
             with pytest.raises(ValueError, match=(
@@ -242,7 +292,7 @@ class TestBoundary:
                 extract_decision_boundary(pg)
             return
         expected = np.where(compute.any(axis=1),
-                            v_values[compute.argmax(axis=1)], np.inf)
+                            pg.v_values[compute.argmax(axis=1)], np.inf)
         np.testing.assert_array_equal(extract_decision_boundary(pg),
                                       expected)
 
