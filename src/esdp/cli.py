@@ -8,10 +8,11 @@ and SVG figures), rerun (re-execute a recorded manifest).
 Exit codes are a contract: 0 ok/secure, 1 I/O or parse error,
 2 validation, unsupported input or an array too large to allocate,
 3 insecure verdict. Every run that writes files also writes a
-manifest.json recording the resolved inputs, seed and tool version;
-re-running the manifest reproduces the outputs byte for byte for
-deterministic subcommands and for any fixed seed otherwise. Tables
-print at 6 significant digits; files carry 17.
+manifest.json recording the argv, the resolved scenario text, seed and
+tool version; rerun parses that recorded scenario, not the file the argv
+names, so it reproduces the outputs byte for byte even after the file is
+edited or deleted (for deterministic subcommands, and for any fixed seed
+otherwise). Tables print at 6 significant digits; files carry 17.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .montecarlo import (
 from .scenario_io import (
     ScenarioParseError,
     parse_scenario_file,
+    parse_scenario_text,
     serialize_scenario,
 )
 from .stopping import (
@@ -46,7 +48,7 @@ from .stopping import (
     write_boundary_csv,
     write_grid_csv,
 )
-from .svg import render_line_chart
+from .svg import _fmt, render_line_chart
 from .thresholds import esdp
 
 __all__ = ["main", "entrypoint"]
@@ -56,9 +58,9 @@ EXIT_PARSE = 1
 EXIT_INVALID = 2
 EXIT_INSECURE = 3
 
-
-def _fmt(value: float) -> str:
-    return f"{value:.6g}"
+# exit 1; the decode errors are ValueErrors, which otherwise exit 2
+_PARSE_ERRORS = (ScenarioParseError, OSError, json.JSONDecodeError,
+                 UnicodeDecodeError)
 
 
 def _write(path: str, text: str) -> None:
@@ -70,24 +72,21 @@ def _json(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _resolve_out(args, default=None) -> str | None:
-    out = args.out if args.out is not None else default
-    if out is not None:
-        os.makedirs(out, exist_ok=True)
-    return out
-
-
-def _save(args, out_dir, outputs, scenario=None, grid=None, sim=None,
+def _save(args, outputs, scenario=None, grid=None, sim=None,
           seed=None) -> None:
     """Write each output, given as its text or as a writer that takes the
-    file's path, then manifest.json: enough to reproduce them exactly."""
+    file's path, into the --out directory, then manifest.json: enough to
+    reproduce them exactly. Without --out, write nothing."""
+    if args.out is None:
+        return
+    os.makedirs(args.out, exist_ok=True)
     for name, content in outputs.items():
-        path = os.path.join(out_dir, name)
+        path = os.path.join(args.out, name)
         if callable(content):
             content(path)
         else:
             _write(path, content)
-    _write(os.path.join(out_dir, "manifest.json"), _json({
+    _write(os.path.join(args.out, "manifest.json"), _json({
         "subcommand": args.subcommand,
         "argv": args._argv,
         "scenario": None if scenario is None else serialize_scenario(scenario),
@@ -99,8 +98,7 @@ def _save(args, out_dir, outputs, scenario=None, grid=None, sim=None,
     }))
 
 
-def _cmd_threshold(args) -> int:
-    scenario = parse_scenario_file(args.scenario)
+def _cmd_threshold(args, scenario) -> int:
     report = esdp(scenario, candidate_delay=args.delay)
     width = max(len(name) for name in report.required_delays)
     print(f"{'condition':<{width}}  required delay (s)")
@@ -110,24 +108,20 @@ def _cmd_threshold(args) -> int:
     if report.secure is not None:
         verdict = "SECURE" if report.secure else "INSECURE"
         print(f"verdict: {verdict} at delay {_fmt(args.delay)} s")
-
-    out_dir = _resolve_out(args)
-    if out_dir is not None:
-        _save(args, out_dir, {"threshold_report.json": _json({
-            "required_delays_s": report.required_delays,
-            "binding_condition": report.binding_condition,
-            "esdp_s": report.esdp,
-            "evaluated_delay_s": report.evaluated_delay,
-            "secure": report.secure,
-        })}, scenario=scenario)
+    _save(args, {"threshold_report.json": _json({
+        "required_delays_s": report.required_delays,
+        "binding_condition": report.binding_condition,
+        "esdp_s": report.esdp,
+        "evaluated_delay_s": report.evaluated_delay,
+        "secure": report.secure,
+    })}, scenario=scenario)
     if report.secure is False:
         return EXIT_INSECURE
     return EXIT_OK
 
 
-def _cmd_equilibrium(args) -> int:
-    scenario = validate_scenario(parse_scenario_file(args.scenario))
-    env = scenario.env
+def _cmd_equilibrium(args, scenario) -> int:
+    env = validate_scenario(scenario).env
     players = args.players if args.players is not None else scenario.players
     delay = args.delay if args.delay is not None else env.honest_delay
     expected_reward = scenario.reward.mean(horizon=delay)
@@ -139,24 +133,20 @@ def _cmd_equilibrium(args) -> int:
     print(f"attack probability p*: {_fmt(result.attack_probability)}")
     print(f"expected attackers: {_fmt(result.expected_attackers)}")
     print(f"per-attacker profit: {_fmt(result.per_attacker_profit)} USD")
-
-    out_dir = _resolve_out(args)
-    if out_dir is not None:
-        _save(args, out_dir, {"equilibrium.json": _json({
-            "players": players,
-            "delay_s": delay,
-            "expected_reward_USD": expected_reward,
-            "regime": result.regime,
-            "attack_probability": result.attack_probability,
-            "expected_attackers": result.expected_attackers,
-            "per_attacker_profit_USD": result.per_attacker_profit,
-            "residual": result.residual,
-        })}, scenario=scenario)
+    _save(args, {"equilibrium.json": _json({
+        "players": players,
+        "delay_s": delay,
+        "expected_reward_USD": expected_reward,
+        "regime": result.regime,
+        "attack_probability": result.attack_probability,
+        "expected_attackers": result.expected_attackers,
+        "per_attacker_profit_USD": result.per_attacker_profit,
+        "residual": result.residual,
+    })}, scenario=scenario)
     return EXIT_OK
 
 
-def _cmd_solve(args) -> int:
-    scenario = parse_scenario_file(args.scenario)
+def _cmd_solve(args, scenario) -> int:
     delay = scenario.env.honest_delay
     dt = args.dt if args.dt is not None else delay / 120.0
     grid = GridSpec(time_step=dt, reward_points=args.vpoints,
@@ -173,7 +163,7 @@ def _cmd_solve(args) -> int:
         print(f"smallest insecure grid reward: {_fmt(verdict.flip_reward)} USD")
 
     boundary = extract_decision_boundary(policy_grid)
-    _save(args, _resolve_out(args, "."), {
+    _save(args, {
         "value_grid.csv":
             lambda path: write_grid_csv(value_grid, policy_grid, path),
         "boundary.csv": lambda path: write_boundary_csv(
@@ -182,8 +172,7 @@ def _cmd_solve(args) -> int:
     return EXIT_OK if secure else EXIT_INSECURE
 
 
-def _cmd_simulate(args) -> int:
-    scenario = parse_scenario_file(args.scenario)
+def _cmd_simulate(args, scenario) -> int:
     cfg = SimConfig(trials=args.trials, seed=args.seed)
     profits, successes, stop_times = commit_profit_samples(
         scenario, cfg, delay=args.delay)
@@ -196,24 +185,21 @@ def _cmd_simulate(args) -> int:
           f"[{_fmt(low)}, {_fmt(high)}] USD")
     print(f"positive-profit fraction: "
           f"{_fmt(estimate.positive_profit_fraction)}")
-
-    out_dir = _resolve_out(args)
-    if out_dir is not None:
-        outputs = {"profit_estimate.json": _json({
-            "mean_USD": estimate.mean,
-            "std_error_USD": estimate.std_error,
-            "confidence": cfg.confidence,
-            "confidence_interval_USD": list(estimate.confidence_interval),
-            "positive_profit_fraction": estimate.positive_profit_fraction,
-            "trials": cfg.trials,
-        })}
-        if args.csv:
-            outputs["trials.csv"] = lambda path: write_trials_csv(
-                path, profits, successes, stop_times)
-        _save(args, out_dir, outputs, scenario=scenario,
-              sim={"trials": cfg.trials, "time_step": cfg.time_step,
-                   "confidence": cfg.confidence},
-              seed=cfg.seed)
+    outputs = {"profit_estimate.json": _json({
+        "mean_USD": estimate.mean,
+        "std_error_USD": estimate.std_error,
+        "confidence": cfg.confidence,
+        "confidence_interval_USD": list(estimate.confidence_interval),
+        "positive_profit_fraction": estimate.positive_profit_fraction,
+        "trials": cfg.trials,
+    })}
+    if args.csv:
+        outputs["trials.csv"] = lambda path: write_trials_csv(
+            path, profits, successes, stop_times)
+    _save(args, outputs, scenario=scenario,
+          sim={"trials": cfg.trials, "time_step": cfg.time_step,
+               "confidence": cfg.confidence},
+          seed=cfg.seed)
     return EXIT_OK
 
 
@@ -226,7 +212,7 @@ _CASE_CHART = {
 }
 
 
-def _cmd_casestudy(args) -> int:
+def _cmd_casestudy(args, _) -> int:
     output = case_study(args.id)
     for label, value, unit in output.headlines:
         print(f"{label}: {_fmt(value)} {unit}")
@@ -244,11 +230,11 @@ def _cmd_casestudy(args) -> int:
             x_label=_CASE_CHART[args.id]["x_label"],
             y_label=_CASE_CHART[args.id]["y_label"],
             x_log2=_CASE_CHART[args.id].get("x_log2", False))
-    _save(args, _resolve_out(args, "."), outputs)
+    _save(args, outputs)
     return EXIT_OK
 
 
-def _cmd_rerun(args) -> int:
+def _cmd_rerun(args, _) -> int:
     with open(args.manifest, "r") as handle:
         payload = json.load(handle)
     # esdp writes no manifest for rerun itself, so such argv is malformed
@@ -256,7 +242,11 @@ def _cmd_rerun(args) -> int:
     if not isinstance(argv, list) or not argv or str(argv[0]) == "rerun":
         raise ScenarioParseError(
             f"manifest {args.manifest!r} carries no argv to re-run")
-    return main([str(piece) for piece in argv])
+    scenario_text = payload.get("scenario")
+    if not isinstance(scenario_text, (str, type(None))):
+        raise ScenarioParseError(
+            f"manifest {args.manifest!r} records a scenario that is not text")
+    return _run(argv, scenario_text)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -298,7 +288,7 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="reward axis truncation (USD)")
     solve_cmd.add_argument("--nodes", type=int, default=7,
                            help="quadrature nodes for reward transitions")
-    solve_cmd.add_argument("--out", default=None,
+    solve_cmd.add_argument("--out", default=".",
                            help="directory for grid/boundary CSV (default .)")
     solve_cmd.set_defaults(handler=_cmd_solve)
 
@@ -318,7 +308,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "casestudy", help="regenerate a preset case study")
     casestudy.add_argument("--id", type=int, required=True,
                            choices=CASE_STUDY_IDS)
-    casestudy.add_argument("--out", default=None,
+    casestudy.add_argument("--out", default=".",
                            help="output directory (default .)")
     casestudy.add_argument("--svg", action="store_true",
                            help="also render a line chart")
@@ -357,9 +347,11 @@ def _join_float_values(argv: list[str]) -> list[str]:
     return joined
 
 
-def main(argv=None) -> int:
-    """Run the CLI; returns the exit code instead of raising SystemExit."""
-    argv = list(sys.argv[1:]) if argv is None else [str(a) for a in argv]
+def _run(argv, scenario_text=None) -> int:
+    """Parse `argv`, read its scenario once (from `scenario_text` when
+    given, else from the file it names), run the handler and turn each
+    error into its exit code."""
+    argv = [str(piece) for piece in argv]
     parser = _build_parser()
     try:
         args = parser.parse_args(_join_float_values(argv))
@@ -367,20 +359,28 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else EXIT_OK
     args._argv = argv
     try:
-        return args.handler(args)
-    except (ScenarioParseError, OSError, json.JSONDecodeError,
-            UnicodeDecodeError) as exc:
-        # both decode errors are ValueErrors, so this arm must come first
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except MemoryError as exc:
-        # a grid or trial count too large to allocate on this machine
-        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
-        return EXIT_INVALID
+        if not hasattr(args, "scenario"):
+            scenario = None
+        elif scenario_text is None:
+            scenario = parse_scenario_file(args.scenario)
+        else:
+            scenario = parse_scenario_text(scenario_text)
+        return args.handler(args, scenario)
+    except (*_PARSE_ERRORS, ValueError, MemoryError) as exc:
+        # an empty MemoryError: a grid or trial count too large to allocate
+        empty = isinstance(exc, MemoryError) and not str(exc)
+        print(f"error: {'out of memory' if empty else exc}", file=sys.stderr)
+        return EXIT_PARSE if isinstance(exc, _PARSE_ERRORS) else EXIT_INVALID
+
+
+def main(argv=None) -> int:
+    """Run the CLI; returns the exit code instead of raising SystemExit."""
+    return _run(sys.argv[1:] if argv is None else argv)
 
 
 def entrypoint() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

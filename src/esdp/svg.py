@@ -7,14 +7,17 @@ case-study figures without pulling in a plotting stack.
 
 from __future__ import annotations
 
+import functools
+import html
 import math
-from xml.sax.saxutils import escape
 
 __all__ = ["render_line_chart"]
 
 _PALETTE = ("#1965b0", "#dc050c", "#4eb265", "#f1932d", "#882e72", "#555555")
 _FONT = "font-family=\"sans-serif\""
 _WIDTH, _HEIGHT = 760, 480
+
+escape = functools.partial(html.escape, quote=False)
 
 
 def _nice_ticks(low: float, high: float, target: int = 6) -> list[float]:

@@ -382,6 +382,46 @@ class TestSimulateCommand:
                 for path in out_dir.iterdir()} == first
 
 
+    @pytest.mark.parametrize("change", ["edited", "deleted"])
+    @pytest.mark.parametrize("name", [name for name, (text, _, _)
+                                      in RERUN_CASES.items() if text])
+    def test_rerun_reads_the_recorded_scenario(self, name, change, tmp_path,
+                                               capsys):
+        # the manifest records the scenario, so what happens to the file
+        # after the run does not reach the rerun
+        text, argv, code = RERUN_CASES[name]
+        scenario = tmp_path / "s.scenario"
+        scenario.write_text(text)
+        out_dir = tmp_path / "out"
+        assert main([argv[0], str(scenario), *argv[1:],
+                     "--out", str(out_dir)]) == code
+        stdout = capsys.readouterr().out
+        first = {path.name: path.read_bytes() for path in out_dir.iterdir()}
+        if change == "edited":
+            scenario.write_text(text.replace("env.cost_rate = 0.05",
+                                             "env.cost_rate = 0.5")
+                                + "abort_probability = 0.5\n")
+        else:
+            scenario.unlink()
+        for name in first:
+            if name != "manifest.json":
+                (out_dir / name).unlink()
+        assert main(["rerun", str(out_dir / "manifest.json")]) == code
+        assert capsys.readouterr().out == stdout
+        assert {path.name: path.read_bytes()
+                for path in out_dir.iterdir()} == first
+
+    def test_rerun_manifest_scenario_must_be_text(self, baseline_file,
+                                                  tmp_path, capsys):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(
+            {"argv": ["threshold", baseline_file], "scenario": 5}))
+        assert main(["rerun", str(manifest)]) == 1
+        err = capsys.readouterr().err
+        assert "records a scenario that is not text" in err
+        assert "Traceback" not in err
+
+
 class TestCaseStudyCommand:
     @pytest.mark.parametrize("case_id", ["1", "2", "3", "4"])
     def test_each_case_writes_outputs(self, case_id, tmp_path, capsys):
@@ -477,3 +517,25 @@ class TestMiscellaneous:
             [sys.executable, "-c", code], capture_output=True, text=True,
             check=True, cwd=Path(esdp.__file__).parents[1]).stdout
         assert out.strip() == "[]"
+
+    def test_import_loads_no_web_client(self):
+        # html.escape, not xml.sax, escapes SVG text; urllib.parse alone
+        # comes in, through the standard library's pathlib
+        code = ("import sys, esdp.cli; "
+                "print([m for m in sys.modules if m.split('.')[0] in "
+                "('xml', 'http', 'ssl', 'email', 'urllib') "
+                "and m not in ('urllib', 'urllib.parse')])")
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            check=True, cwd=Path(esdp.__file__).parents[1]).stdout
+        assert out.strip() == "[]"
+
+    def test_python_m_runs_the_cli(self, tmp_path):
+        scenario = tmp_path / "s.scenario"
+        scenario.write_text(BASELINE)
+        proc = subprocess.run(
+            [sys.executable, "-m", "esdp.cli", "threshold", str(scenario),
+             "--delay", "1"], capture_output=True, text=True,
+            cwd=Path(esdp.__file__).parents[1])
+        assert proc.returncode == 3
+        assert "verdict: INSECURE" in proc.stdout
