@@ -120,7 +120,7 @@ class EconomicEnvironment:
 class RewardModel:
     """Distribution of the per-round reward V (USD, nonnegative).
 
-    Concrete models provide single-draw moments and sampling plus the
+    Concrete models provide the single-draw mean and sampling plus the
     order-statistic expectation E[max of G i.i.d. draws] used by grinding
     analysis. Path-valued models (:class:`MarkovOU`) additionally expose
     their exact one-step transition; for them the single-draw law is the
@@ -130,9 +130,6 @@ class RewardModel:
     kind: str = "abstract"
 
     def mean(self, horizon: float | None = None) -> float:
-        raise NotImplementedError
-
-    def variance(self, horizon: float | None = None) -> float:
         raise NotImplementedError
 
     def sample(self, rng: np.random.Generator, size: int,
@@ -158,9 +155,6 @@ class Constant(RewardModel):
     def mean(self, horizon=None):
         return self.value
 
-    def variance(self, horizon=None):
-        return 0.0
-
     def sample(self, rng, size, horizon=None):
         return np.full(size, self.value, dtype=float)
 
@@ -181,9 +175,6 @@ class Exponential(RewardModel):
 
     def mean(self, horizon=None):
         return self.mean_value
-
-    def variance(self, horizon=None):
-        return self.mean_value ** 2
 
     def sample(self, rng, size, horizon=None):
         return rng.exponential(self.mean_value, size)
@@ -206,15 +197,17 @@ class Lognormal(RewardModel):
 
     def _underlying(self) -> tuple[float, float]:
         # mean/variance of the underlying normal from the lognormal moments
-        sigma2 = math.log1p(self.variance_value / self.mean_value ** 2)
+        try:
+            ratio = self.variance_value / self.mean_value ** 2
+        except (OverflowError, ZeroDivisionError):
+            # mean ** 2 left the float range, which the ratio need not
+            ratio = self.variance_value / self.mean_value / self.mean_value
+        sigma2 = math.log1p(ratio)
         mu = math.log(self.mean_value) - 0.5 * sigma2
         return mu, math.sqrt(sigma2)
 
     def mean(self, horizon=None):
         return self.mean_value
-
-    def variance(self, horizon=None):
-        return self.variance_value
 
     def sample(self, rng, size, horizon=None):
         mu, sigma = self._underlying()
@@ -242,6 +235,9 @@ class Lognormal(RewardModel):
         if not 0.0 < self.variance_value < math.inf:
             out.append("lognormal variance must be finite and > 0 "
                        f"(got {self.variance_value})")
+        if not out and not math.isfinite(self._underlying()[1]):
+            out.append("lognormal variance / mean^2 must be finite (got "
+                       f"{self.variance_value} / {self.mean_value}^2)")
         return out
 
 
@@ -254,9 +250,6 @@ class Empirical(RewardModel):
 
     def mean(self, horizon=None):
         return float(np.mean(self.samples))
-
-    def variance(self, horizon=None):
-        return float(np.var(self.samples))
 
     def sample(self, rng, size, horizon=None):
         return rng.choice(np.asarray(self.samples, dtype=float), size=size)
@@ -289,9 +282,6 @@ class Bounded(RewardModel):
 
     def mean(self, horizon=None):
         return self.max_value
-
-    def variance(self, horizon=None):
-        return 0.0
 
     def sample(self, rng, size, horizon=None):
         return np.full(size, self.max_value, dtype=float)
@@ -348,11 +338,6 @@ class MarkovOU(RewardModel):
         if horizon is None:
             return self.initial
         return self.transition_mean(self.initial, horizon)
-
-    def variance(self, horizon=None):
-        if horizon is None:
-            return 0.0
-        return self.transition_std(horizon) ** 2
 
     def sample(self, rng, size, horizon=None):
         if horizon is None:

@@ -18,9 +18,9 @@ import math
 from dataclasses import dataclass
 
 from .core import (
+    Exponential,
     Scenario,
     ThresholdReport,
-    harmonic_number,
     validate_scenario,
 )
 
@@ -87,6 +87,24 @@ def _check(violations: list[str]) -> None:
         raise ValueError("; ".join(violations))
 
 
+def _bound(speedup, cost_rate, reward, members=1, cost_factor=1.0,
+           leverage=0.0):
+    """speedup * members / (cost_rate * cost_factor) * reward / (1 - leverage),
+    the bound of every condition: a coalition of `members` shares the cost,
+    grinding scales it by `cost_factor`, selective abort amplifies the reward."""
+    return speedup * members / (cost_rate * cost_factor) * reward / (
+        1.0 - leverage)
+
+
+def _total(values) -> float:
+    """Exact sum of nonnegative finite rewards; a sum past the float range
+    is an infinite effective reward, which no finite delay secures."""
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        return math.inf
+
+
 def expected_profit(delay: float, speedup: float, cost_rate: float,
                     reward: float) -> float:
     """Expected profit of committing to a full evaluation:
@@ -98,14 +116,14 @@ def linear_threshold(speedup: float, cost_rate: float,
                      expected_reward: float) -> float:
     """Break-even delay (speedup/cost_rate)*E[V]; the round is secure for
     every delay at or above it and insecure strictly below."""
-    return speedup / cost_rate * expected_reward
+    return _bound(speedup, cost_rate, expected_reward)
 
 
 def robust_interval_threshold(iv: ParameterIntervals) -> float:
     """Delay secure across every parameter vector inside the intervals:
     (speedup_max/cost_min)*reward_max."""
     _check(iv.violations())
-    return iv.speedup_max / iv.cost_min * iv.reward_max
+    return _bound(iv.speedup_max, iv.cost_min, iv.reward_max)
 
 
 def epsilon_robust_threshold(iv: ParameterIntervals,
@@ -117,34 +135,24 @@ def epsilon_robust_threshold(iv: ParameterIntervals,
     moment bounds (reward_max in `iv` is not consulted).
     """
     _check(iv.violations() + mb.violations())
-    return iv.speedup_max / iv.cost_min * (
-        mb.mean_max + mb.std_max / math.sqrt(mb.epsilon))
+    return _bound(iv.speedup_max, iv.cost_min,
+                  mb.mean_max + mb.std_max / math.sqrt(mb.epsilon))
 
 
 def composition_threshold(speedup: float, cost_rate: float,
-                          protocol_means,
-                          max_attacked: int | None = None) -> float:
+                          protocol_means) -> float:
     """Delay secure when one beacon output feeds several protocols.
 
-    With no cap the adversary coordinates across all of them, so the bound
-    sums the per-protocol expected rewards. With at most `max_attacked`
-    protocols attackable per round, the binding subset is the
-    `max_attacked` largest means (all means are nonnegative, so larger
-    subsets only help the adversary).
+    The adversary coordinates across all of them, so the bound sums the
+    per-protocol expected rewards; a sum past the float range needs an
+    infinite delay.
     """
     means = list(protocol_means)
     if not means:
         raise ValueError("protocol_means must be non-empty")
     if any(m < 0.0 for m in means):
         raise ValueError("protocol_means must all be >= 0")
-    if max_attacked is None:
-        total = math.fsum(means)
-    else:
-        if not 1 <= max_attacked <= len(means):
-            raise ValueError(
-                f"max_attacked must be in [1, {len(means)}] (got {max_attacked})")
-        total = math.fsum(sorted(means, reverse=True)[:max_attacked])
-    return speedup / cost_rate * total
+    return _bound(speedup, cost_rate, _total(means))
 
 
 def multiround_threshold(speedup: float, cost_rate: float,
@@ -162,7 +170,7 @@ def multiround_threshold(speedup: float, cost_rate: float,
         raise ValueError("prefix_means must be non-decreasing "
                          "(sums of nonnegative rewards cannot shrink)")
     per_round = max(p / k for k, p in enumerate(prefix, start=1))
-    return speedup / cost_rate * per_round
+    return _bound(speedup, cost_rate, per_round)
 
 
 def multiround_threshold_subsets(speedup: float, cost_rate: float,
@@ -179,7 +187,7 @@ def multiround_threshold_subsets(speedup: float, cost_rate: float,
         raise ValueError("round_means must all be >= 0")
     ordered = sorted(means, reverse=True)
     best = max(math.fsum(ordered[:k]) / k for k in range(1, len(ordered) + 1))
-    return speedup / cost_rate * best
+    return _bound(speedup, cost_rate, best)
 
 
 def grinding_threshold(speedup: float, cost_rate: float, grinding_size: int,
@@ -198,8 +206,8 @@ def grinding_threshold(speedup: float, cost_rate: float, grinding_size: int,
     if not 0.0 <= cost_exponent <= 1.0:
         raise ValueError(
             f"cost_exponent must be in [0, 1] (got {cost_exponent})")
-    effective_cost = cost_rate * float(grinding_size) ** cost_exponent
-    return speedup / effective_cost * expected_max_reward
+    return _bound(speedup, cost_rate, expected_max_reward,
+                  cost_factor=float(grinding_size) ** cost_exponent)
 
 
 def expected_max_exponential(mean: float, draws: int) -> float:
@@ -208,7 +216,7 @@ def expected_max_exponential(mean: float, draws: int) -> float:
         raise ValueError(f"mean must be >= 0 (got {mean})")
     if draws < 1:
         raise ValueError(f"draws must be >= 1 (got {draws})")
-    return mean * harmonic_number(draws)
+    return Exponential(mean).expected_max(draws)
 
 
 def abort_threshold(speedup: float, cost_rate: float, expected_reward: float,
@@ -218,7 +226,8 @@ def abort_threshold(speedup: float, cost_rate: float, expected_reward: float,
     if not 0.0 <= abort_probability < 1.0:
         raise ValueError("abort_probability must be in [0, 1) "
                          f"(got {abort_probability})")
-    return speedup / cost_rate * expected_reward / (1.0 - abort_probability)
+    return _bound(speedup, cost_rate, expected_reward,
+                  leverage=abort_probability)
 
 
 def coalition_threshold(speedup: float, cost_rate: float, coalition_size: int,
@@ -228,7 +237,8 @@ def coalition_threshold(speedup: float, cost_rate: float, coalition_size: int,
     if coalition_size < 1:
         raise ValueError(
             f"coalition_size must be >= 1 (got {coalition_size})")
-    return speedup * float(coalition_size) / cost_rate * expected_reward
+    return _bound(speedup, cost_rate, expected_reward,
+                  members=float(coalition_size))
 
 
 def esdp(scenario: Scenario,
@@ -240,45 +250,42 @@ def esdp(scenario: Scenario,
     coalition, composition and multi-round conditions join it when the
     corresponding modifier departs from its default. Conditions are
     independent lower bounds on the delay, per the max-of-bounds design
-    rule. With `candidate_delay` given, the verdict is secure iff the
-    candidate is at or above the ESDP (secure at exact equality).
+    rule; the first row at the maximum is the binding one. With
+    `candidate_delay` given, the verdict is secure iff the candidate is at
+    or above the ESDP (secure at exact equality).
     """
     if candidate_delay is not None and not 0.0 <= candidate_delay < math.inf:
         raise ValueError(
             f"candidate_delay must be finite and >= 0 (got {candidate_delay})")
-    scenario = validate_scenario(scenario)
-    env = scenario.env
-    horizon = env.honest_delay
-
-    def condition(name, fn):
-        try:
-            return fn()
-        except Exception as exc:
-            raise ValueError(f"{name}: {exc}") from exc
-
-    mean_reward = condition(
-        "linear", lambda: scenario.reward.mean(horizon=horizon))
-    required: dict[str, float] = {
-        "linear": linear_threshold(env.speedup, env.cost_rate, mean_reward)}
-    if scenario.grinding_size > 1:
-        required["grinding"] = condition("grinding", lambda: grinding_threshold(
-            env.speedup, env.cost_rate, scenario.grinding_size,
-            scenario.reward.expected_max(scenario.grinding_size,
-                                         horizon=horizon),
-            scenario.grinding_cost_exponent))
-    if scenario.abort_probability > 0.0:
-        required["abort"] = condition("abort", lambda: abort_threshold(
-            env.speedup, env.cost_rate, mean_reward,
-            scenario.abort_probability))
-    if scenario.coalition_size > 1:
-        required["coalition"] = condition("coalition", lambda: coalition_threshold(
-            env.speedup, env.cost_rate, scenario.coalition_size, mean_reward))
-    if scenario.protocol_means:
-        required["composition"] = condition("composition", lambda: composition_threshold(
-            env.speedup, env.cost_rate, scenario.protocol_means))
-    if scenario.rounds > 1:
+    s = validate_scenario(scenario)
+    env, reward, horizon = s.env, s.reward, s.env.honest_delay
+    rewards: dict[str, float] = {}
+    mean = lambda: rewards["linear"]  # E[V], evaluated once by that row
+    # name, active, effective reward, members, cost factor, leverage
+    rows = (
+        ("linear", True, lambda: reward.mean(horizon=horizon), 1, 1.0, 0.0),
+        ("grinding", s.grinding_size > 1,
+         lambda: reward.expected_max(s.grinding_size, horizon=horizon),
+         1, float(s.grinding_size) ** s.grinding_cost_exponent, 0.0),
+        ("abort", s.abort_probability > 0.0, mean, 1, 1.0,
+         s.abort_probability),
+        ("coalition", s.coalition_size > 1, mean, float(s.coalition_size),
+         1.0, 0.0),
+        ("composition", bool(s.protocol_means),
+         lambda: _total(s.protocol_means), 1, 1.0, 0.0),
         # i.i.d. rounds make max_k k*E[V]/k equal to E[V]
-        required["multiround"] = required["linear"]
+        ("multiround", s.rounds > 1, mean, 1, 1.0, 0.0),
+    )
+    required: dict[str, float] = {}
+    for name, active, effective_reward, members, cost_factor, leverage in rows:
+        if active:
+            try:
+                rewards[name] = effective_reward()
+                required[name] = _bound(env.speedup, env.cost_rate,
+                                        rewards[name], members, cost_factor,
+                                        leverage)
+            except Exception as exc:
+                raise ValueError(f"{name}: {exc}") from exc
 
     esdp_value = max(required.values())
     binding = next(name for name, value in required.items()

@@ -78,6 +78,9 @@ NON_FINITE = [
     ({"protocol_means": "nan, 5.0"}, "protocol_means"),
     ({"abort_probability": "nan"}, "abort_probability"),
     ({"grinding_cost_exponent": "inf"}, "grinding_cost_exponent"),
+    # each moment finite, their ratio not
+    ({"reward.kind": "lognormal", "reward.mean": "1e-200",
+      "reward.variance": "1e300", "grinding_size": "4"}, "variance"),
 ]
 
 # one out-of-range command-line number per argv, and the name its error
@@ -221,6 +224,31 @@ class TestThresholdCommand:
         err = capsys.readouterr().err
         assert "grinding: quadrature did not converge" in err
         assert "Traceback" not in err
+
+    def test_overflowing_composition_is_insecure(self, tmp_path, capsys):
+        path = tmp_path / "composition.scenario"
+        path.write_text(BASELINE + "protocol_means = 1e308, 1e308\n")
+        rc = main(["threshold", str(path), "--delay", "600"])
+        out = capsys.readouterr().out
+        assert rc == 3
+        assert "composition  inf" in out
+        assert "ESDP: inf s (binding: composition)" in out
+
+    @pytest.mark.parametrize("mean, variance, code", [
+        (1e300, 1e300, 3), (1e-200, 1e-300, 0)])
+    def test_lognormal_mean_squared_out_of_range_answers(
+            self, mean, variance, code, tmp_path, capsys):
+        # mean ** 2 overflows at 1e300 and underflows to 0 at 1e-200
+        path = tmp_path / "lognormal.scenario"
+        path.write_text(BASELINE.replace(
+            "reward.kind = exponential\nreward.mean = 10.0",
+            f"reward.kind = lognormal\nreward.mean = {mean!r}\n"
+            f"reward.variance = {variance!r}\ngrinding_size = 4"))
+        assert main(["threshold", str(path), "--delay", "600"]) == code
+        assert main(["simulate", str(path), "--trials", "100"]) == 0
+        captured = capsys.readouterr()
+        assert "grinding" in captured.out and "mean profit: " in captured.out
+        assert captured.err == ""
 
     def test_json_report_written(self, baseline_file, tmp_path, capsys):
         out_dir = tmp_path / "report"

@@ -155,7 +155,6 @@ class TestRewardModels:
         model = Constant(7.5)
         rng = np.random.default_rng(0)
         assert model.mean() == 7.5
-        assert model.variance() == 0.0
         assert model.expected_max(50) == 7.5
         assert np.all(model.sample(rng, 10) == 7.5)
 
@@ -171,7 +170,6 @@ class TestRewardModels:
         rng = np.random.default_rng(1)
         draws = model.sample(rng, 200_000)
         assert draws.mean() == pytest.approx(10.0, abs=3 * draws.std() / 447)
-        assert model.variance() == 100.0
         assert model.expected_max(4) == pytest.approx(10.0 * 25.0 / 12.0,
                                                       rel=1e-12)
 
@@ -208,7 +206,6 @@ class TestRewardModels:
         assert model.expected_max(3) == pytest.approx(maxima.mean(),
                                                       abs=3 * se)
         assert model.mean() == pytest.approx(12.0)
-        assert model.variance() == pytest.approx(np.var([1.0, 5.0, 12.0, 30.0]))
 
     def test_empirical_requires_samples(self):
         assert Empirical(()).violations()
@@ -265,7 +262,6 @@ class TestRewardModels:
         volatility = math.sqrt(
             variance * 2.0 * kappa / -math.expm1(-2.0 * kappa * horizon))
         model = MarkovOU(mean, mean, kappa, volatility)
-        assert model.variance(horizon) == pytest.approx(variance)
         trials = 4_000_000 // draws
         maxima = model.sample(np.random.default_rng(6), trials * draws,
                               horizon).reshape(trials, draws).max(axis=1)

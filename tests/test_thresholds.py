@@ -12,6 +12,7 @@ from esdp.core import (
     Bounded,
     Constant,
     EconomicEnvironment,
+    Empirical,
     Exponential,
     Lognormal,
     MarkovOU,
@@ -130,30 +131,20 @@ class TestComposition:
     def test_hand_values(self):
         assert composition_threshold(3.0, 0.05, (10.0, 50.0, 100.0)) == \
             pytest.approx(9600.0, rel=1e-12)
-        assert composition_threshold(3.0, 0.05, (10.0, 50.0, 100.0),
-                                     max_attacked=2) == pytest.approx(
-                                         9000.0, rel=1e-12)
 
     def test_single_protocol_reduces_to_linear(self):
         assert composition_threshold(3.0, 0.05, (10.0,)) == \
             linear_threshold(3.0, 0.05, 10.0)
 
-    def test_capped_matches_brute_force_enumeration(self):
-        rng = np.random.default_rng(5)
-        for _ in range(40):
-            m = int(rng.integers(1, 13))
-            means = list(rng.uniform(0.0, 100.0, m))
-            k = int(rng.integers(1, m + 1))
-            best = max(sum(combo)
-                       for size in range(1, k + 1)
-                       for combo in itertools.combinations(means, size))
-            expected = 3.0 / 0.05 * best
-            assert composition_threshold(3.0, 0.05, means, max_attacked=k) \
-                == pytest.approx(expected, rel=1e-12)
-
-    def test_cap_above_count_rejected(self):
-        with pytest.raises(ValueError, match="max_attacked"):
-            composition_threshold(3.0, 0.05, (10.0, 20.0), max_attacked=3)
+    def test_overflowing_sum_needs_an_infinite_delay(self, baseline_env):
+        assert composition_threshold(3.0, 0.05, (1e308, 1e308)) == math.inf
+        scenario = Scenario(baseline_env, Exponential(10.0),
+                            protocol_means=(1e308, 1e308))
+        report = esdp(scenario, candidate_delay=600.0)
+        assert report.required_delays == {"linear": 600.0,
+                                          "composition": math.inf}
+        assert report.binding_condition == "composition"
+        assert report.secure is False
 
     def test_empty_means_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
@@ -329,6 +320,58 @@ def test_monotonicity_in_every_argument():
             speedup, cost, g + 1, expected_max_exponential(reward, g + 1),
             0.0) >= grinding_threshold(
                 speedup, cost, g, expected_max_exponential(reward, g), 0.0)
+
+
+# every reward kind, with laws the checked quadrature converges on
+REWARDS = st.one_of(
+    st.builds(Constant, st.floats(0.0, 1e9)),
+    st.builds(Exponential, st.floats(0.0, 1e9)),
+    st.tuples(st.floats(1e-3, 1e6), st.floats(1e-3, 1e4)).map(
+        lambda mr: Lognormal(mr[0], mr[0] ** 2 * mr[1])),
+    st.builds(Empirical, st.lists(st.floats(0.0, 1e9), min_size=1,
+                                  max_size=5).map(tuple)),
+    st.builds(Bounded, st.floats(0.0, 1e9)),
+    st.builds(MarkovOU, st.floats(0.0, 100.0), st.floats(0.0, 100.0),
+              st.floats(1e-3, 1.0), st.floats(0.0, 10.0)),
+)
+
+
+@given(speedup=st.floats(1.0, 1e6), cost=st.floats(1e-6, 1e3),
+       delay=st.floats(1e-3, 1e9), reward=REWARDS,
+       grinding=st.integers(1, 64), exponent=st.floats(0.0, 1.0),
+       abort=st.floats(0.0, 0.99), coalition=st.integers(1, 100),
+       means=st.lists(st.floats(0.0, 1e9), max_size=3),
+       rounds=st.integers(1, 10))
+def test_rows_equal_their_helper_and_the_written_out_bound(
+        speedup, cost, delay, reward, grinding, exponent, abort, coalition,
+        means, rounds):
+    s, c, g, e, p, m = speedup, cost, grinding, exponent, abort, coalition
+    report = esdp(Scenario(EconomicEnvironment(s, c, delay), reward,
+                           grinding_size=g, abort_probability=p,
+                           protocol_means=tuple(means), coalition_size=m,
+                           rounds=rounds, grinding_cost_exponent=e))
+    mean = reward.mean(horizon=delay)
+    # name, active, the bound written out, the public helper
+    rows = [
+        ("linear", True, lambda: s / c * mean,
+         lambda: linear_threshold(s, c, mean)),
+        ("grinding", g > 1,
+         lambda: s / (c * g ** e) * reward.expected_max(g, horizon=delay),
+         lambda: grinding_threshold(
+             s, c, g, reward.expected_max(g, horizon=delay), e)),
+        ("abort", p > 0.0, lambda: s / c * mean / (1 - p),
+         lambda: abort_threshold(s, c, mean, p)),
+        ("coalition", m > 1, lambda: s * m / c * mean,
+         lambda: coalition_threshold(s, c, m, mean)),
+        ("composition", bool(means), lambda: s / c * math.fsum(means),
+         lambda: composition_threshold(s, c, means)),
+        ("multiround", rounds > 1, lambda: s / c * mean,
+         lambda: multiround_threshold(s, c, (mean,))),
+    ]
+    active = [row for row in rows if row[1]]
+    assert list(report.required_delays) == [row[0] for row in active]
+    for name, _, written_out, helper in active:
+        assert report.required_delays[name] == written_out() == helper(), name
 
 
 class TestReportAggregation:
