@@ -22,7 +22,7 @@ from esdp import (
     initial_value,
     solve,
 )
-from esdp.stopping import write_boundary_csv, write_grid_csv
+from esdp.stopping import write_boundary_csv
 
 env = EconomicEnvironment(speedup=3.0, cost_rate=0.05, honest_delay=600.0)
 scenario = Scenario(env, DEFAULT_OU_REWARD)  # mean-reverting around 10 USD
@@ -57,8 +57,7 @@ for j in range(0, values.s_values.size, 40):
 
 out_dir = "demo-out"
 os.makedirs(out_dir, exist_ok=True)
-write_grid_csv(values, policy, os.path.join(out_dir, "value_grid.csv"))
 write_boundary_csv(boundary, values.s_values, values.t_values,
                    os.path.join(out_dir, "boundary.csv"))
-print(f"\nFull grid and boundary written to {out_dir}/ "
-      "(same files as `esdp solve`).")
+print(f"\nDecision boundary written to {out_dir}/boundary.csv; "
+      "`esdp solve SCENARIO --out DIR` writes the full value grid too.")

@@ -56,7 +56,15 @@ def harmonic_number(n: int) -> float:
         0.5 / x - 1.0 / (12.0 * x * x) + 1.0 / (120.0 * x ** 4)))
 
 
-_erfc = np.vectorize(math.erfc, otypes=[float])
+_erfc_objects = np.frompyfunc(math.erfc, 1, 1)
+
+
+def _erfc(x: np.ndarray) -> np.ndarray:
+    """math.erfc over an array, as a float array: numpy has no erfc, and
+    frompyfunc runs the loop with less overhead than np.vectorize."""
+    return _erfc_objects(x).astype(float)
+
+
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 _PANEL_WIDTH = 0.25
 

@@ -57,19 +57,59 @@ def attacker_payoff(attackers: int, expected_reward: float, cost_rate: float,
     return expected_reward / attackers - cost_rate * delay / speedup
 
 
+# (log k!, k, 1/k) for k = 0..size-1, read-only and shared by every solve in
+# the process. log k! depends on k alone, so the table only ever grows, and
+# only on demand: nothing is computed at import. One tuple, replaced whole,
+# so a reader never sees arrays of different sizes.
+_TABLE: tuple[np.ndarray, ...] = (np.empty(0),) * 3
+
+
+def _table(n: int) -> tuple[np.ndarray, ...]:
+    """The process-wide table, grown to cover k = 0..n if it does not yet.
+    It grows to at least twice its size, so a sweep over n spends at most
+    2 max(n) lgamma calls in total and copies the table O(log n) times."""
+    global _TABLE
+    table = _TABLE
+    size = table[0].size
+    if n < size:
+        return table
+    grown = max(n + 1, 2 * size)
+    log_factorial = np.concatenate((table[0], np.fromiter(
+        map(math.lgamma, range(size + 1, grown + 1)), float, grown - size)))
+    k = np.arange(grown, dtype=float)
+    inverse = np.full(grown, math.inf)  # 1/0 is never read
+    np.divide(1.0, k[1:], out=inverse[1:])
+    table = (log_factorial, k, inverse)
+    for array in table:
+        array.flags.writeable = False
+    _TABLE = table
+    return table
+
+
 @functools.lru_cache(maxsize=1)
 def _binomial_row(n: int) -> tuple[np.ndarray, ...]:
     """The p-independent half of Binomial(n, p) over k = 0..n: log C(n, k),
     k, n - k, and the weights 1/k over k = 1..n. Every root-finding step of
     a solve shares n, so one cached row serves the whole solve; the arrays
-    are read-only because the cache hands out the same ones each time."""
-    k = np.arange(n + 1, dtype=float)
-    log_factorial = np.array([math.lgamma(i + 1) for i in range(n + 1)])
-    row = (log_factorial[n] - log_factorial - log_factorial[::-1],
-           k, n - k, 1.0 / k[1:])
-    for array in row:
-        array.flags.writeable = False
-    return row
+    are read-only because the cache hands out the same ones each time, and
+    all but the first are views of the process-wide table."""
+    log_factorial, k, inverse = _table(n)
+    lf = log_factorial[:n + 1]
+    log_choose = lf[n] - lf - lf[::-1]
+    log_choose.flags.writeable = False
+    return log_choose, k[:n + 1], k[n::-1], inverse[1:n + 1]
+
+
+def _player_count(n) -> int:
+    """n as an int; n must be an integer >= 1, an integer-valued float
+    included."""
+    try:
+        whole = int(n)
+    except (TypeError, ValueError, OverflowError):  # nan, inf, not a number
+        whole = None
+    if whole is None or whole != n or whole < 1:
+        raise ValueError(f"n must be an integer >= 1 (got {n!r})")
+    return whole
 
 
 def conditional_inverse_expectation(n: int, p: float) -> float:
@@ -78,8 +118,7 @@ def conditional_inverse_expectation(n: int, p: float) -> float:
     Lies in (0, 1]; equals 1 at n=1, decreases in p for n >= 2 and in n for
     fixed p (more rivals dilute the prize).
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1 (got {n})")
+    n = _player_count(n)
     if not 0.0 < p <= 1.0:
         raise ValueError(
             f"p must be in (0, 1] (got {p}); K >= 1 has probability 0 at p=0")
@@ -109,8 +148,7 @@ def equilibrium_attack_probability(n: int, expected_reward: float,
     [log 1e-12, 0], to a bracket a few ulps wide in p; `residual` is the
     indifference gap left at p*.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1 (got {n})")
+    n = _player_count(n)
     if not 0.0 <= expected_reward < math.inf:
         raise ValueError(
             f"expected_reward must be finite and >= 0 (got {expected_reward})")

@@ -150,7 +150,7 @@ def composition_threshold(speedup: float, cost_rate: float,
     means = list(protocol_means)
     if not means:
         raise ValueError("protocol_means must be non-empty")
-    if any(m < 0.0 for m in means):
+    if any(not m >= 0.0 for m in means):
         raise ValueError("protocol_means must all be >= 0")
     return _bound(speedup, cost_rate, _total(means))
 
@@ -166,6 +166,8 @@ def multiround_threshold(speedup: float, cost_rate: float,
     prefix = list(prefix_means)
     if not prefix:
         raise ValueError("prefix_means must be non-empty")
+    if any(not m >= 0.0 for m in prefix):
+        raise ValueError("prefix_means must all be >= 0")
     if any(b < a for a, b in zip(prefix, prefix[1:])):
         raise ValueError("prefix_means must be non-decreasing "
                          "(sums of nonnegative rewards cannot shrink)")
@@ -183,10 +185,10 @@ def multiround_threshold_subsets(speedup: float, cost_rate: float,
     means = list(round_means)
     if not means:
         raise ValueError("round_means must be non-empty")
-    if any(m < 0.0 for m in means):
+    if any(not m >= 0.0 for m in means):
         raise ValueError("round_means must all be >= 0")
     ordered = sorted(means, reverse=True)
-    best = max(math.fsum(ordered[:k]) / k for k in range(1, len(ordered) + 1))
+    best = max(_total(ordered[:k]) / k for k in range(1, len(ordered) + 1))
     return _bound(speedup, cost_rate, best)
 
 

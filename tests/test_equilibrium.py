@@ -1,11 +1,16 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import esdp
 from esdp import equilibrium
+from esdp.core import Exponential, Scenario, validate_scenario
 from esdp.equilibrium import (
     EquilibriumResult,
     attacker_payoff,
@@ -321,3 +326,73 @@ class TestEquilibrium:
     def test_out_of_range_input_names_the_argument(self, field, args):
         with pytest.raises(ValueError, match=field):
             equilibrium_attack_probability(*args)
+
+
+class TestLogFactorialTable:
+    # the table grows at 50, 5000 and 12000 and serves 2, 4001 and 3 from
+    # what it holds; with p outermost every call misses the one-row cache
+    SWEEP = (50, 5000, 2, 4001, 12000, 3)
+    PS = (1e-12, 0.01, 0.3, 1.0 - 1e-9)
+
+    @pytest.fixture
+    def empty_table(self, monkeypatch):
+        monkeypatch.setattr(equilibrium, "_TABLE", (np.empty(0),) * 3)
+        equilibrium._binomial_row.cache_clear()
+
+    def test_bit_identical_while_the_table_grows(self, empty_table):
+        for p in self.PS:
+            for n in self.SWEEP:
+                assert conditional_inverse_expectation(n, p) == \
+                    oracle_conditional_inverse(n, p)
+
+    def test_a_sweep_over_n_spends_o_max_n_lgamma_calls(self, empty_table,
+                                                        monkeypatch):
+        calls = 0
+        lgamma = math.lgamma
+
+        def counted(x):
+            nonlocal calls
+            calls += 1
+            return lgamma(x)
+
+        monkeypatch.setattr(math, "lgamma", counted)
+        for p in self.PS:
+            for n in self.SWEEP:
+                conditional_inverse_expectation(n, p)
+        assert 0 < calls <= 2 * max(self.SWEEP) + 2
+        for array in equilibrium._TABLE:
+            assert array.size == calls
+            assert not array.flags.writeable
+
+    def test_import_builds_no_table(self):
+        code = ("import math; calls = []; lgamma = math.lgamma; "
+                "math.lgamma = lambda x: calls.append(x) or lgamma(x); "
+                "import esdp; from esdp import equilibrium; "
+                "print(len(calls), equilibrium._TABLE[0].size)")
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            check=True, cwd=Path(esdp.__file__).parents[1]).stdout
+        assert out.split() == ["0", "0"]
+
+
+class TestPlayerCount:
+    @pytest.mark.parametrize("n", [2.5, 0.5, math.nan, math.inf, -math.inf,
+                                   0, -3, 0.0, "3", None])
+    def test_bad_n_rejected(self, n):
+        with pytest.raises(ValueError, match="^n must be"):
+            conditional_inverse_expectation(n, 0.5)
+        # no-attack (E[V] <= cost) and past it
+        for delay in (600.0, 60.0):
+            with pytest.raises(ValueError, match="^n must be"):
+                equilibrium_attack_probability(n, 10.0, 0.05, delay, 3.0)
+
+    def test_integer_valued_float_solves_as_an_int(self, baseline_env):
+        scenario = Scenario(baseline_env, Exponential(10.0), players=3.0)
+        validate_scenario(scenario)
+        assert conditional_inverse_expectation(3.0, 0.5) == \
+            conditional_inverse_expectation(3, 0.5)
+        for delay in (600.0, 400.0, 60.0):  # each regime
+            args = (10.0, 0.05, delay, 3.0)
+            result = equilibrium_attack_probability(scenario.players, *args)
+            assert result == equilibrium_attack_probability(3, *args)
+            assert type(result.expected_attackers) is float

@@ -181,6 +181,23 @@ class TestMultiround:
             assert multiround_threshold_subsets(3.0, 0.05, means) == \
                 pytest.approx(3.0 / 0.05 * best, rel=1e-12)
 
+    def test_subset_variant_overflowing_sum_needs_an_infinite_delay(self):
+        assert multiround_threshold_subsets(3.0, 0.05, (1e308, 1e308)) == \
+            math.inf
+
+    @pytest.mark.parametrize("helper, means", [
+        (composition_threshold, (math.nan, 1.0)),
+        (composition_threshold, (1.0, math.nan)),
+        (multiround_threshold, (math.nan, 1.0)),
+        (multiround_threshold, (1.0, math.nan)),
+        (multiround_threshold, (-1.0, 0.0)),
+        (multiround_threshold_subsets, (math.nan, 1.0)),
+        (multiround_threshold_subsets, (1.0, math.nan)),
+    ])
+    def test_nan_or_negative_mean_rejected(self, helper, means):
+        with pytest.raises(ValueError, match="must all be >= 0"):
+            helper(3.0, 0.05, means)
+
     def test_subset_variant_dominates_prefix_for_back_loaded_rewards(self):
         means = [1.0, 2.0, 30.0]
         prefix = list(np.cumsum(means))
