@@ -21,7 +21,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 from . import __version__
 from .casestudies import CASE_STUDY_IDS, case_study
@@ -121,8 +121,11 @@ def _cmd_threshold(args, scenario) -> int:
 
 
 def _cmd_equilibrium(args, scenario) -> int:
-    env = validate_scenario(scenario).env
-    players = args.players if args.players is not None else scenario.players
+    # --players replaces the file's count under the scenario's own rule
+    game = scenario if args.players is None else replace(
+        scenario, players=args.players)
+    env = validate_scenario(game).env
+    players = game.players
     delay = args.delay if args.delay is not None else env.honest_delay
     expected_reward = scenario.reward.mean(horizon=delay)
     result = equilibrium_attack_probability(
@@ -197,8 +200,7 @@ def _cmd_simulate(args, scenario) -> int:
         outputs["trials.csv"] = lambda path: write_trials_csv(
             path, profits, successes, stop_times)
     _save(args, outputs, scenario=scenario,
-          sim={"trials": cfg.trials, "time_step": cfg.time_step,
-               "confidence": cfg.confidence},
+          sim={"trials": cfg.trials, "confidence": cfg.confidence},
           seed=cfg.seed)
     return EXIT_OK
 

@@ -102,12 +102,12 @@ def _binomial_row(n: int) -> tuple[np.ndarray, ...]:
 
 def _player_count(n) -> int:
     """n as an int; n must be an integer >= 1, an integer-valued float
-    included."""
+    included and a bool not."""
     try:
         whole = int(n)
     except (TypeError, ValueError, OverflowError):  # nan, inf, not a number
         whole = None
-    if whole is None or whole != n or whole < 1:
+    if isinstance(n, bool) or whole is None or whole != n or whole < 1:
         raise ValueError(f"n must be an integer >= 1 (got {n!r})")
     return whole
 

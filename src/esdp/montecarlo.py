@@ -23,7 +23,8 @@ from functools import partial
 import numpy as np
 
 from ._csv import write_csv
-from .core import Constant, MarkovOU, RewardModel, Scenario, validate_scenario
+from .core import MarkovOU, Scenario, validate_scenario
+from .equilibrium import _player_count
 
 __all__ = [
     "SimConfig",
@@ -31,7 +32,6 @@ __all__ = [
     "TailEstimate",
     "MomentEstimate",
     "ConditionalInverseEstimate",
-    "simulate_reward_path",
     "commit_profit_samples",
     "profit_estimate",
     "rollout_policy",
@@ -46,11 +46,10 @@ _BLOCK = 4096
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Simulation knobs: trial count, path time step (seconds), master
-    seed, and the confidence level used for interval reporting."""
+    """Simulation knobs: trial count, master seed, and the confidence
+    level used for interval reporting."""
 
     trials: int = 10_000
-    time_step: float = 1.0
     seed: int = 0
     confidence: float = 0.99
 
@@ -59,8 +58,6 @@ class SimConfig:
         if isinstance(self.trials, bool) or not (
                 isinstance(self.trials, numbers.Integral) and self.trials >= 1):
             out.append(f"trials must be a positive integer (got {self.trials})")
-        if not self.time_step > 0.0:
-            out.append(f"time_step must be > 0 (got {self.time_step})")
         if not 0.0 < self.confidence < 1.0:
             out.append(f"confidence must be in (0, 1) (got {self.confidence})")
         if not 0 <= self.seed < 2 ** 64:
@@ -87,7 +84,8 @@ def _per_block(cfg: SimConfig, draw) -> np.ndarray:
     Block b holds trials [b*_BLOCK, (b+1)*_BLOCK) and draws from
     _substream(cfg.seed, b) alone, so a longer run repeats every full block
     of a shorter one, and its partial last block too when draw takes each
-    trial's variates together (not so for paths, drawn step by step)."""
+    trial's variates together (not so for the rollout, which draws a
+    block one time step at a time)."""
     for block in range(math.ceil(cfg.trials / _BLOCK)):
         start = block * _BLOCK
         rows = draw(_substream(cfg.seed, block),
@@ -169,42 +167,17 @@ def profit_estimate(profits: np.ndarray, confidence: float) -> ProfitEstimate:
         positive_profit_fraction=float(np.mean(profits > 0.0)))
 
 
-def simulate_reward_path(model: RewardModel, horizon: float,
-                         cfg: SimConfig) -> np.ndarray:
-    """Sample reward trajectories over [0, horizon].
-
-    Returns an array of shape (trials, steps+1) sampled at multiples of
-    cfg.time_step (final step shortened to land exactly on the horizon).
-    Constant paths are flat; mean-reverting paths use the exact Gaussian
-    transition reflected at 0. Distribution-only models have no path: for
-    them the result has shape (trials, 1) holding one terminal draw each.
-    """
+def _commit_draw(scenario: Scenario, cfg: SimConfig, delay: float):
+    """The commit attacker's reward, one draw per trial at the horizon
+    `delay`, and its cost of computing for delay/speedup seconds. Checks
+    the scenario, then cfg, then the delay."""
+    scenario = validate_scenario(scenario)
     _check_config(cfg)
-    if not horizon > 0.0:
-        raise ValueError(f"horizon must be > 0 (got {horizon})")
-
-    if not isinstance(model, (Constant, MarkovOU)):
-        return _per_block(cfg, model.sample)[:, None]
-
-    steps = _step_count(horizon, cfg.time_step)
-    if isinstance(model, Constant):
-        return np.full((cfg.trials, steps + 1), model.value, dtype=float)
-
-    deltas = np.minimum(cfg.time_step,
-                        horizon - cfg.time_step * np.arange(steps))
-
-    def paths(rng, size):
-        out = np.empty((size, steps + 1), dtype=float)
-        out[:, 0] = model.initial
-        for k, dt in enumerate(deltas):
-            out[:, k + 1] = model.step(out[:, k], dt, rng)
-        return out
-
-    return _per_block(cfg, paths)
-
-
-def _step_count(horizon: float, dt: float) -> int:
-    return max(1, math.ceil(horizon / dt - 1e-9))
+    if not 0.0 < delay < math.inf:
+        raise ValueError(f"delay must be finite and > 0 (got {delay})")
+    env = scenario.env
+    rewards = _per_block(cfg, partial(scenario.reward.sample, horizon=delay))
+    return rewards, env.cost_rate * delay / env.speedup
 
 
 def commit_profit_samples(scenario: Scenario, cfg: SimConfig,
@@ -216,16 +189,10 @@ def commit_profit_samples(scenario: Scenario, cfg: SimConfig,
     terminal reward draw on success; with speedup exactly 1 it finishes at
     the honest reveal, which the strict success rule counts as failure.
     """
-    scenario = validate_scenario(scenario)
-    _check_config(cfg)
     env = scenario.env
     T = env.honest_delay if delay is None else delay
-    if not 0.0 < T < math.inf:
-        raise ValueError(f"delay must be finite and > 0 (got {T})")
-    cost = env.cost_rate * T / env.speedup
+    rewards, cost = _commit_draw(scenario, cfg, T)
     succeeds = env.speedup > 1.0  # completion at T/speedup < T
-
-    rewards = _per_block(cfg, partial(scenario.reward.sample, horizon=T))
     profits = (rewards if succeeds else np.zeros_like(rewards)) - cost
     successes = np.full(cfg.trials, succeeds, dtype=bool)
     stop_times = np.full(cfg.trials, env.seed_time + T / env.speedup)
@@ -302,13 +269,7 @@ def estimate_tail_probability(scenario: Scenario, delay: float,
     """Estimate P[V - cost_rate*delay/speedup > 0] by sampling terminal
     rewards; the empirical check of the moment-bound (Chebyshev) design
     rule. Requires a reward model with finite mean and variance."""
-    scenario = validate_scenario(scenario)
-    _check_config(cfg)
-    if not 0.0 < delay < math.inf:
-        raise ValueError(f"delay must be finite and > 0 (got {delay})")
-    env = scenario.env
-    cost = env.cost_rate * delay / env.speedup
-    draws = _per_block(cfg, partial(scenario.reward.sample, horizon=delay))
+    draws, cost = _commit_draw(scenario, cfg, delay)
     fraction = int(np.count_nonzero(draws - cost > 0.0)) / cfg.trials
     se = math.sqrt(fraction * (1.0 - fraction) / cfg.trials)
     half = _z_value(cfg.confidence) * se
@@ -321,10 +282,11 @@ def estimate_tail_probability(scenario: Scenario, delay: float,
 def grinding_max_oracle(mean: float, draws: int, cfg: SimConfig) -> MomentEstimate:
     """Monte Carlo E[max of `draws` i.i.d. exponential(mean) rewards];
     independent check of the harmonic-number closed form."""
-    if mean < 0.0:
-        raise ValueError(f"mean must be >= 0 (got {mean})")
-    if draws < 1:
-        raise ValueError(f"draws must be >= 1 (got {draws})")
+    if not 0.0 <= mean < math.inf:
+        raise ValueError(f"mean must be finite and >= 0 (got {mean})")
+    if isinstance(draws, bool) or not (
+            isinstance(draws, numbers.Integral) and draws >= 1):
+        raise ValueError(f"draws must be an integer >= 1 (got {draws!r})")
     _check_config(cfg)
     value, se = _mean_se(_per_block(
         cfg, lambda rng, size: rng.exponential(mean, (size, draws)).max(axis=1)))
@@ -335,8 +297,7 @@ def equilibrium_empirical_check(n: int, p: float,
                                 cfg: SimConfig) -> ConditionalInverseEstimate:
     """Sample K ~ Binomial(n, p), discard K = 0, and average 1/K; Monte
     Carlo oracle for the exact conditional expectation."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1 (got {n})")
+    n = _player_count(n)
     if not 0.0 < p <= 1.0:
         raise ValueError(f"p must be in (0, 1] (got {p})")
     _check_config(cfg)

@@ -214,8 +214,8 @@ def grinding_threshold(speedup: float, cost_rate: float, grinding_size: int,
 
 def expected_max_exponential(mean: float, draws: int) -> float:
     """E[max of `draws` i.i.d. exponential rewards] = mean * H_draws."""
-    if mean < 0.0:
-        raise ValueError(f"mean must be >= 0 (got {mean})")
+    if not 0.0 <= mean < math.inf:
+        raise ValueError(f"mean must be finite and >= 0 (got {mean})")
     if draws < 1:
         raise ValueError(f"draws must be >= 1 (got {draws})")
     return Exponential(mean).expected_max(draws)

@@ -95,6 +95,7 @@ BAD_CLI_NUMBERS = [
     (BASELINE, ["threshold", "--delay", "-1e3"], "candidate_delay"),
     (CONSTANT_300, ["solve", "--dt", "-1e3"], "time_step"),
     (CONSTANT_300, ["solve", "--dt", "5", "--vmax", "-inf"], "reward_max"),
+    (BASELINE, ["equilibrium", "--players", "0"], "players"),
 ]
 
 

@@ -224,6 +224,37 @@ class TestRewardModels:
         assert model.transition_std(dt) ** 2 == pytest.approx(expected_var)
         assert model.stationary_std() == pytest.approx(2.0 / math.sqrt(0.2))
 
+    def test_markov_ou_steps_reach_the_transition_moments(self):
+        # 40 steps of 0.05 s, as a rollout steps at the DP's dt, against
+        # the one exact transition over 2 s
+        model = MarkovOU(10.0, 10.0, 0.01, 2.0)
+        rng = np.random.default_rng(8)
+        v = np.full(100_000, 10.0)
+        for _ in range(40):
+            v = model.step(v, 0.05, rng)
+        se = v.std(ddof=1) / math.sqrt(v.size)
+        assert v.mean() == pytest.approx(model.transition_mean(10.0, 2.0),
+                                         abs=3 * se)
+        assert v.var(ddof=1) == pytest.approx(
+            model.transition_std(2.0) ** 2,
+            rel=4 * math.sqrt(2.0 / v.size) + 1e-3)
+
+    def test_markov_ou_steps_stay_nonnegative(self):
+        model = MarkovOU(0.5, 0.5, 0.05, 3.0)  # heavy reflection regime
+        rng = np.random.default_rng(12)
+        v = np.full(2000, model.initial)
+        for _ in range(50):
+            v = model.step(v, 1.0, rng)
+            assert v.min() >= 0.0
+
+    def test_markov_ou_tiny_volatility_pins_the_path(self):
+        model = MarkovOU(10.0, 10.0, 1e6, 1e-9)
+        rng = np.random.default_rng(3)
+        v = np.full(10, model.initial)
+        for _ in range(10):
+            v = model.step(v, 1.0, rng)
+            assert np.abs(v - 10.0).max() < 1e-6
+
     def test_markov_ou_horizon_draws(self):
         model = MarkovOU(12.0, 10.0, 0.1, 2.0)
         rng = np.random.default_rng(5)

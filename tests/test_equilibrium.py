@@ -377,7 +377,7 @@ class TestLogFactorialTable:
 
 class TestPlayerCount:
     @pytest.mark.parametrize("n", [2.5, 0.5, math.nan, math.inf, -math.inf,
-                                   0, -3, 0.0, "3", None])
+                                   0, -3, 0.0, "3", None, True])
     def test_bad_n_rejected(self, n):
         with pytest.raises(ValueError, match="^n must be"):
             conditional_inverse_expectation(n, 0.5)

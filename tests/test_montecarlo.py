@@ -22,7 +22,6 @@ from esdp.montecarlo import (
     grinding_max_oracle,
     profit_estimate,
     rollout_policy,
-    simulate_reward_path,
     write_trials_csv,
 )
 from esdp.stopping import GridSpec, PolicyGrid, initial_value, solve
@@ -31,18 +30,17 @@ from esdp.thresholds import MomentBounds, ParameterIntervals
 
 
 class TestDeterminism:
-    def test_identical_seed_identical_paths(self):
-        cfg = SimConfig(trials=5000, time_step=0.5, seed=99)
-        a = simulate_reward_path(DEFAULT_OU_REWARD, 20.0, cfg)
-        b = simulate_reward_path(DEFAULT_OU_REWARD, 20.0, cfg)
-        assert np.array_equal(a, b)
+    def test_identical_seed_identical_paths(self, rollout_grids):
+        scenario, pg = rollout_grids["ou-default"]
+        cfg = SimConfig(trials=5000, seed=99)
+        assert rollout_policy(pg, scenario, cfg) == \
+            rollout_policy(pg, scenario, cfg)
 
-    def test_distinct_seeds_differ(self):
-        a = simulate_reward_path(DEFAULT_OU_REWARD, 20.0,
-                                 SimConfig(trials=100, seed=1))
-        b = simulate_reward_path(DEFAULT_OU_REWARD, 20.0,
-                                 SimConfig(trials=100, seed=2))
-        assert not np.array_equal(a, b)
+    def test_distinct_seeds_differ(self, rollout_grids):
+        scenario, pg = rollout_grids["ou-default"]
+        a = rollout_policy(pg, scenario, SimConfig(trials=100, seed=1))
+        b = rollout_policy(pg, scenario, SimConfig(trials=100, seed=2))
+        assert a != b
 
     def test_commit_samples_reproducible(self, baseline_env):
         scenario = Scenario(baseline_env, Exponential(10.0))
@@ -52,69 +50,18 @@ class TestDeterminism:
         for x, y in zip(first, second):
             assert np.array_equal(x, y)
 
-    @pytest.mark.parametrize("run, trials", [
-        (lambda env, cfg: commit_profit_samples(
-            Scenario(env, Exponential(10.0)), cfg)[0], 1000),
-        (lambda env, cfg: simulate_reward_path(Exponential(10.0), 20.0, cfg),
-         1000),
-        # paths draw a block one time step at a time, so only whole blocks
-        # of a shorter run recur in a longer one
-        (lambda env, cfg: simulate_reward_path(DEFAULT_OU_REWARD, 20.0, cfg),
-         8192),
-    ], ids=["commit_profit_samples", "simulate_reward_path-exponential",
-            "simulate_reward_path-markov_ou"])
-    def test_trial_count_extends_the_stream(self, baseline_env, run, trials):
+    @pytest.mark.parametrize("reward", [Exponential(10.0), DEFAULT_OU_REWARD],
+                             ids=["commit_profit_samples", "markov_ou"])
+    def test_trial_count_extends_the_stream(self, baseline_env, reward):
         # block-wise substreams: a longer run starts with the shorter one,
         # here across two block edges
-        short = run(baseline_env, SimConfig(trials=trials, seed=7))
-        long = run(baseline_env, SimConfig(trials=9000, seed=7))
-        assert len(short) == trials and len(long) == 9000
-        assert np.array_equal(short, long[:trials])
+        def run(trials):
+            return commit_profit_samples(Scenario(baseline_env, reward),
+                                         SimConfig(trials=trials, seed=7))[0]
 
-
-class TestRewardPaths:
-    def test_constant_path_is_flat(self):
-        cfg = SimConfig(trials=3, time_step=1.0, seed=0)
-        paths = simulate_reward_path(Constant(10.0), 600.0, cfg)
-        assert paths.shape == (3, 601)
-        assert np.all(paths == 10.0)
-
-    def test_degenerate_diffusion_pins_the_path(self):
-        model = MarkovOU(10.0, 10.0, 1e6, 1e-9)
-        paths = simulate_reward_path(model, 10.0,
-                                     SimConfig(trials=10, time_step=1.0,
-                                               seed=3))
-        assert np.abs(paths - 10.0).max() < 1e-6
-
-    def test_ou_terminal_moments_match_closed_form(self):
-        model = MarkovOU(10.0, 10.0, 0.01, 2.0)
-        horizon = 2.0
-        cfg = SimConfig(trials=100_000, time_step=0.05, seed=8)
-        paths = simulate_reward_path(model, horizon, cfg)
-        terminal = paths[:, -1]
-        mean_expected = model.transition_mean(10.0, horizon)
-        var_expected = model.transition_std(horizon) ** 2
-        se = terminal.std(ddof=1) / math.sqrt(terminal.size)
-        assert terminal.mean() == pytest.approx(mean_expected, abs=3 * se)
-        assert terminal.var(ddof=1) == pytest.approx(
-            var_expected, rel=4 * math.sqrt(2.0 / terminal.size) + 1e-3)
-
-    def test_distribution_models_return_single_terminal_draw(self):
-        cfg = SimConfig(trials=50, seed=4)
-        draws = simulate_reward_path(Exponential(10.0), 600.0, cfg)
-        assert draws.shape == (50, 1)
-        assert np.all(draws >= 0.0)
-
-    def test_nonpositive_horizon_rejected(self):
-        with pytest.raises(ValueError, match="horizon"):
-            simulate_reward_path(Constant(1.0), 0.0, SimConfig(trials=1))
-
-    def test_paths_stay_nonnegative(self):
-        model = MarkovOU(0.5, 0.5, 0.05, 3.0)  # heavy reflection regime
-        paths = simulate_reward_path(model, 50.0,
-                                     SimConfig(trials=2000, time_step=1.0,
-                                               seed=12))
-        assert paths.min() >= 0.0
+        short, long = run(1000), run(9000)
+        assert len(short) == 1000 and len(long) == 9000
+        assert np.array_equal(short, long[:1000])
 
 
 class TestCommitProfits:
@@ -338,6 +285,16 @@ class TestOracles:
         assert est.value == pytest.approx(expected_max_exponential(10.0, 4),
                                           abs=3 * est.std_error)
 
+    @pytest.mark.parametrize("mean, draws, match", [
+        (math.nan, 3, "mean must be finite and >= 0"),
+        (math.inf, 3, "mean must be finite and >= 0"),
+        (10.0, 2.5, "draws must be an integer >= 1"),
+        (10.0, True, "draws must be an integer >= 1"),
+    ], ids=["nan-mean", "inf-mean", "fractional-draws", "bool-draws"])
+    def test_grinding_oracle_rejects_bad_input(self, mean, draws, match):
+        with pytest.raises(ValueError, match=match):
+            grinding_max_oracle(mean, draws, SimConfig(trials=10, seed=0))
+
     def test_grinding_oracle_zero_mean(self):
         est = grinding_max_oracle(0.0, 5, SimConfig(trials=100, seed=0))
         assert est.value == 0.0
@@ -361,6 +318,12 @@ class TestOracles:
         exact = conditional_inverse_expectation(20, 0.3)
         assert est.value == pytest.approx(exact, abs=3 * est.std_error)
 
+    @pytest.mark.parametrize("n", [2.5, True, math.nan, 0])
+    def test_equilibrium_check_takes_the_exact_player_count_rule(self, n):
+        # the rule of conditional_inverse_expectation (TestPlayerCount)
+        with pytest.raises(ValueError, match="^n must be"):
+            equilibrium_empirical_check(n, 0.5, SimConfig(trials=10, seed=0))
+
     def test_equilibrium_check_insufficient_data(self):
         est = equilibrium_empirical_check(3, 1e-12,
                                           SimConfig(trials=1000, seed=16))
@@ -381,11 +344,6 @@ class TestConfigValidation:
                            match="trials must be a positive integer"):
             commit_profit_samples(baseline_scenario,
                                   SimConfig(trials=trials))
-
-    def test_bad_time_step_rejected(self):
-        with pytest.raises(ValueError, match="time_step"):
-            simulate_reward_path(Constant(1.0), 10.0,
-                                 SimConfig(trials=5, time_step=0.0))
 
 
 def test_trials_csv_round_trip(tmp_path):

@@ -254,6 +254,11 @@ class TestGrinding:
             10.0 * 25.0 / 12.0, rel=1e-15)
         assert expected_max_exponential(0.0, 123) == 0.0
 
+    @pytest.mark.parametrize("mean", [math.nan, math.inf, -1.0])
+    def test_expected_max_exponential_rejects_bad_means(self, mean):
+        with pytest.raises(ValueError, match="mean must be finite and >= 0"):
+            expected_max_exponential(mean, 3)
+
     def test_expected_max_exponential_monte_carlo_oracle(self):
         rng = np.random.default_rng(41)
         maxima = rng.exponential(10.0, (1_000_000, 4)).max(axis=1)
