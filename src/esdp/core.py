@@ -39,6 +39,31 @@ __all__ = [
 ]
 
 
+#: The most players the equilibrium solves for: three orders of magnitude
+#: above Ethereum's ~10^6 validators, and a window of at most
+#: 12 sqrt(n) + 97 binomial terms (about 3 MB).
+MAX_PLAYERS = 10 ** 9
+_LARGEST_FLOAT = math.nextafter(math.inf, 0.0)
+
+
+def as_count(value, name: str, low: int = 1, cap=_LARGEST_FLOAT,
+             whole_floats: bool = False) -> int:
+    """`value` as an int, if it is an integer in [low, cap], else a
+    ValueError naming `name`. Every count obeys this one rule: an int or a
+    numpy integer, an integer-valued float only where `whole_floats`, never
+    a bool. The default cap is the largest float, so that a count always
+    converts to a finite float; the bounds compare exactly, so a count of
+    any size is judged, never raising OverflowError."""
+    whole = value
+    if whole_floats and isinstance(value, float) and value.is_integer():
+        whole = int(value)
+    if isinstance(whole, bool) or not isinstance(
+            whole, (int, numbers.Integral)) or not low <= whole <= cap:
+        raise ValueError(f"{name} must be an integer >= {low} and "
+                         f"<= {cap:.6g} (got {value!r})")
+    return int(whole)
+
+
 def harmonic_number(n: int) -> float:
     """H_n = sum(1/i, i=1..n), with H_0 = 0; n must be a non-negative int.
 
@@ -47,11 +72,10 @@ def harmonic_number(n: int) -> float:
     log n + gamma + 1/(2n) - 1/(12n^2) + 1/(120n^4), whose next term is
     below 1e-20 there; it stays within 1 ulp of the exact sum on every n
     checked from 1025 to 2^20."""
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
-        raise ValueError(f"n must be a non-negative integer (got {n!r})")
+    n = as_count(n, "n", low=0)
     if n <= 1024:
         return math.fsum(1.0 / i for i in range(1, n + 1))
-    x = float(n)  # n ** 4 of a numpy integer would wrap
+    x = float(n)
     return math.log(x) + (np.euler_gamma + (
         0.5 / x - 1.0 / (12.0 * x * x) + 1.0 / (120.0 * x ** 4)))
 
@@ -394,12 +418,6 @@ DEFAULT_OU_REWARD = MarkovOU(initial=10.0, long_run_mean=10.0,
                              reversion_rate=0.1, volatility=2.0)
 
 
-def _positive_count(value, name: str) -> list[str]:
-    if not (float(value) >= 1.0 and float(value).is_integer()):
-        return [f"{name} must be a positive integer (got {value})"]
-    return []
-
-
 @dataclass(frozen=True)
 class Scenario:
     """One attack setting: environment, reward model, and surface modifiers.
@@ -438,15 +456,18 @@ def scenario_violations(s: Scenario) -> list[str]:
     """All invariant violations in `s`, empty when the scenario is valid."""
     out = s.env.violations()
     out += s.reward.violations()
-    out += _positive_count(s.grinding_size, "grinding_size")
     if not 0.0 <= s.abort_probability < 1.0:
         out.append("abort_probability must be in [0, 1) "
                    f"(got {s.abort_probability}); 1/(1-p) must stay finite")
     if not all(0.0 <= m < math.inf for m in s.protocol_means):
         out.append("protocol_means must all be finite and >= 0")
-    out += _positive_count(s.coalition_size, "coalition_size")
-    out += _positive_count(s.players, "players")
-    out += _positive_count(s.rounds, "rounds")
+    for name, cap in (("grinding_size", _LARGEST_FLOAT),
+                      ("coalition_size", _LARGEST_FLOAT),
+                      ("players", MAX_PLAYERS), ("rounds", _LARGEST_FLOAT)):
+        try:
+            as_count(getattr(s, name), name, cap=cap, whole_floats=True)
+        except ValueError as exc:
+            out.append(str(exc))
     if not 0.0 <= s.grinding_cost_exponent <= 1.0:
         out.append("grinding_cost_exponent must be in [0, 1] "
                    f"(got {s.grinding_cost_exponent})")

@@ -6,20 +6,34 @@ profit is u(k) = E[V]/k - cost_rate*delay/speedup. A symmetric mixed
 strategy with attack probability p makes the attacker count K binomial,
 and indifference pins the equilibrium at
 
-    E[1/K | K >= 1] * E[V] = cost_rate * delay / speedup.
+    g(p) * E[V] = cost_rate * delay / speedup,   g(p) = E[1/K | K >= 1].
 
-The left side falls continuously from E[V] (as p -> 0) toward E[V]/n
-(at p = 1), so the root is bracketed on [1e-12, 1] and found by Brent's
-method in log p.
+g falls continuously from 1 (as p -> 0) to 1/n (at p = 1). It is the
+ratio sum w_k/k / sum w_k of binomial weights w_k, unnormalized, over the
+window k in [max(1, mu - t), min(n, mu + t)], where mu = np,
+sigma^2 = np(1 - p) and t = 12 sigma + 48. Bernstein's inequality bounds
+the mass outside the window by 2 exp(-72) ~ 1e-31, under 1e-30 of the
+mass of K >= 1. The weights are two cumulative products of
+w_{k+1}/w_k = (n - k)/(k + 1) * p/(1 - p), outward from the mode, so none
+exceeds 1 and none overflows. The window holds at most 12 sqrt(n) + 97
+terms, which `core.MAX_PLAYERS` bounds.
+
+The root is found by Newton's method in x = log p on
+log g - log(cost/E[V]), inside the bracket [log 1e-12, 0]. The slope comes
+with each evaluation of g:
+
+    d log g / d log p = (1/g - E[K | K >= 1]) / (1 - p),
+    E[K | K >= 1] = np / (1 - (1 - p)^n).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .core import MAX_PLAYERS, as_count
 
 __all__ = [
     "EquilibriumResult",
@@ -29,6 +43,7 @@ __all__ = [
 ]
 
 _MAX_GAP_EVALS = 100
+_LOWEST = math.log(1e-12)  # the bracket's low end in x = log p
 
 
 @dataclass(frozen=True)
@@ -57,68 +72,18 @@ def attacker_payoff(attackers: int, expected_reward: float, cost_rate: float,
     return expected_reward / attackers - cost_rate * delay / speedup
 
 
-# (log k!, k, 1/k) for k = 0..size-1, read-only and shared by every solve in
-# the process. log k! depends on k alone, so the table only ever grows, and
-# only on demand: nothing is computed at import. One tuple, replaced whole,
-# so a reader never sees arrays of different sizes.
-_TABLE: tuple[np.ndarray, ...] = (np.empty(0),) * 3
-
-
-def _table(n: int) -> tuple[np.ndarray, ...]:
-    """The process-wide table, grown to cover k = 0..n if it does not yet.
-    It grows to at least twice its size, so a sweep over n spends at most
-    2 max(n) lgamma calls in total and copies the table O(log n) times."""
-    global _TABLE
-    table = _TABLE
-    size = table[0].size
-    if n < size:
-        return table
-    grown = max(n + 1, 2 * size)
-    log_factorial = np.concatenate((table[0], np.fromiter(
-        map(math.lgamma, range(size + 1, grown + 1)), float, grown - size)))
-    k = np.arange(grown, dtype=float)
-    inverse = np.full(grown, math.inf)  # 1/0 is never read
-    np.divide(1.0, k[1:], out=inverse[1:])
-    table = (log_factorial, k, inverse)
-    for array in table:
-        array.flags.writeable = False
-    _TABLE = table
-    return table
-
-
-@functools.lru_cache(maxsize=1)
-def _binomial_row(n: int) -> tuple[np.ndarray, ...]:
-    """The p-independent half of Binomial(n, p) over k = 0..n: log C(n, k),
-    k, n - k, and the weights 1/k over k = 1..n. Every root-finding step of
-    a solve shares n, so one cached row serves the whole solve; the arrays
-    are read-only because the cache hands out the same ones each time, and
-    all but the first are views of the process-wide table."""
-    log_factorial, k, inverse = _table(n)
-    lf = log_factorial[:n + 1]
-    log_choose = lf[n] - lf - lf[::-1]
-    log_choose.flags.writeable = False
-    return log_choose, k[:n + 1], k[n::-1], inverse[1:n + 1]
-
-
-def _player_count(n) -> int:
-    """n as an int; n must be an integer >= 1, an integer-valued float
-    included and a bool not."""
-    try:
-        whole = int(n)
-    except (TypeError, ValueError, OverflowError):  # nan, inf, not a number
-        whole = None
-    if isinstance(n, bool) or whole is None or whole != n or whole < 1:
-        raise ValueError(f"n must be an integer >= 1 (got {n!r})")
-    return whole
+def _players(n) -> int:
+    """The player count n under the one count rule, capped at MAX_PLAYERS."""
+    return as_count(n, "n", cap=MAX_PLAYERS, whole_floats=True)
 
 
 def conditional_inverse_expectation(n: int, p: float) -> float:
-    """Exact E[1/K | K >= 1] for K ~ Binomial(n, p).
+    """E[1/K | K >= 1] for K ~ Binomial(n, p), to a few ulps.
 
     Lies in (0, 1]; equals 1 at n=1, decreases in p for n >= 2 and in n for
     fixed p (more rivals dilute the prize).
     """
-    n = _player_count(n)
+    n = _players(n)
     if not 0.0 < p <= 1.0:
         raise ValueError(
             f"p must be in (0, 1] (got {p}); K >= 1 has probability 0 at p=0")
@@ -126,14 +91,25 @@ def conditional_inverse_expectation(n: int, p: float) -> float:
         return 1.0  # K is identically 1 given K >= 1
     if p == 1.0:
         return 1.0 / n
-    log_choose, k, n_minus_k, inverse_k = _binomial_row(n)
-    # the pmf in log space, so that no term passes through an underflowing
-    # (1-p)^n
-    pmf = np.exp(log_choose + k * math.log(p) + n_minus_k * math.log1p(-p))
-    numerator = float(pmf[1:] @ inverse_k)
-    at_least_one = -math.expm1(n * math.log1p(-p))
-    # the log-space pmf can round the ratio a few ulps past its bound
-    return min(1.0, numerator / at_least_one)
+    q = 1.0 - p
+    mean = n * p
+    reach = 12.0 * math.sqrt(mean * q) + 48.0
+    low = max(1, math.ceil(mean - reach))
+    high = min(n, math.floor(mean + reach))
+    k = np.arange(low, high + 1.0)
+    ratio = n - k[:-1]  # w_{k+1}/w_k = (n - k)/(k + 1) * p/q
+    ratio /= k[1:]
+    ratio *= p / q
+    # the index in k of the mode, floor((n + 1)p), or of the window's end
+    # nearest to it: the largest weight
+    mode = min(max(math.floor(mean + p), low), high) - low
+    w = np.empty_like(k)
+    w[mode] = 1.0
+    np.multiply.accumulate(ratio[mode:], out=w[mode + 1:])
+    if mode:  # below the mode each ratio is >= 1, so its inverse is safe
+        np.multiply.accumulate(1.0 / ratio[mode - 1::-1], out=w[mode - 1::-1])
+    # each w_k/k <= w_k, so the ratio cannot round past 1
+    return float(np.dot(w, 1.0 / k)) / float(np.add.reduce(w))
 
 
 def equilibrium_attack_probability(n: int, expected_reward: float,
@@ -144,11 +120,11 @@ def equilibrium_attack_probability(n: int, expected_reward: float,
     Below the single-attacker break-even (E[V] <= cost, equality resolved
     to the defender's side) nobody attacks. When even p=1 leaves attacking
     strictly profitable the game saturates at p*=1. Otherwise the
-    indifference condition is solved by Brent's method in x = log p on
-    [log 1e-12, 0], to a bracket a few ulps wide in p; `residual` is the
-    indifference gap left at p*.
+    indifference condition is solved by Newton's method in x = log p on
+    [log 1e-12, 0], to a few ulps of x; `residual` is the indifference gap
+    left at p*.
     """
-    n = _player_count(n)
+    n = _players(n)
     if not 0.0 <= expected_reward < math.inf:
         raise ValueError(
             f"expected_reward must be finite and >= 0 (got {expected_reward})")
@@ -166,10 +142,7 @@ def equilibrium_attack_probability(n: int, expected_reward: float,
                                  per_attacker_profit=0.0,
                                  regime="no-attack")
 
-    def gap(p: float) -> float:
-        return conditional_inverse_expectation(n, p) * expected_reward - cost
-
-    full = gap(1.0)
+    full = conditional_inverse_expectation(n, 1.0) * expected_reward - cost
     if full > 0.0:
         return EquilibriumResult(attack_probability=1.0,
                                  expected_attackers=float(n),
@@ -177,56 +150,52 @@ def equilibrium_attack_probability(n: int, expected_reward: float,
                                  regime="saturated",
                                  residual=abs(full))
 
-    x, value = _brent(lambda x: gap(math.exp(x)), math.log(1e-12), 0.0, full)
-    p_star = math.exp(x)
+    p_star, gap = _newton(n, expected_reward, cost)
     return EquilibriumResult(attack_probability=p_star,
                              expected_attackers=n * p_star,
                              per_attacker_profit=0.0,
                              regime="interior",
-                             residual=abs(value))
+                             residual=abs(gap))
 
 
-def _brent(f, a: float, b: float, fb: float) -> tuple[float, float]:
-    """Root of the decreasing f on [a, b], given fb = f(b) <= 0, by Brent's
-    bracketing method (the brentq variant: secant or inverse quadratic
-    steps, bisection whenever they would not shrink the bracket fast
-    enough). Returns (x, f(x)) at a root hit exactly, or at the end with
-    the smaller |f| of a bracket narrower than 4 eps (1 + |x|): a few ulps
-    of x, and of p = exp(x) where x is near 0. When f(a) <= 0 there is no
-    sign change and a is returned. Spends at most _MAX_GAP_EVALS
-    evaluations of f."""
-    eps = math.ulp(1.0)
-    x_pre, f_pre = a, f(a)
-    if f_pre <= 0.0:
-        return x_pre, f_pre
-    x_cur, f_cur = b, fb
-    x_blk = f_blk = s_pre = s_cur = 0.0
-    for _ in range(_MAX_GAP_EVALS - 1):
-        if f_pre != 0.0 and f_cur != 0.0 and (f_pre < 0.0) != (f_cur < 0.0):
-            x_blk, f_blk = x_pre, f_pre
-            s_pre = s_cur = x_cur - x_pre
-        if abs(f_blk) < abs(f_cur):
-            x_pre, x_cur, x_blk = x_cur, x_blk, x_cur
-            f_pre, f_cur, f_blk = f_cur, f_blk, f_cur
-        delta = 2.0 * eps * (1.0 + abs(x_cur))
-        s_bis = 0.5 * (x_blk - x_cur)
-        if f_cur == 0.0 or abs(s_bis) < delta:
+def _newton(n: int, expected_reward: float,
+            cost: float) -> tuple[float, float]:
+    """(p*, indifference gap at p*) for g(p*) = cost/E[V] = c, given
+    1/n <= c < 1, by Newton's method in x = log p on f = log g - log c.
+
+    It starts from the smaller of the two roots that the asymptotes
+    1/g ~ 1 + (n - 1)p/4 (np small) and 1/g ~ (n + 1)p - 1 (np large)
+    give. Each step stays strictly inside the bracket of the points
+    evaluated so far, or else bisects it (in log(-x), see below); a step
+    below log 1e-12 goes to log 1e-12, which is p* when f <= 0 there. It
+    stops when the step or the bracket is under 2 eps (1 + |x|), a few ulps
+    of x, or when |f| <= eps, the rounding of g: where g is that flat the
+    root is no sharper. At most _MAX_GAP_EVALS evaluations of g."""
+    c = cost / expected_reward
+    start = min(4.0 * (1.0 - c) / (c * (n - 1.0)),
+                (1.0 + c) / (c * (n + 1.0)))
+    # x = low has f > 0 once seen; p = exp(high) starts as the largest
+    # float below 1, so that an interior p* stays below 1
+    low, high = -math.inf, -0.5 * math.ulp(1.0)
+    x = min(math.log(max(start, 1e-12)), high)
+    for _ in range(_MAX_GAP_EVALS):
+        p = math.exp(x)
+        g = conditional_inverse_expectation(n, p)
+        f = math.log(g) - math.log(c)
+        slope = (1.0 / g - n * p / -math.expm1(n * math.log1p(-p))) / (1.0 - p)
+        step = -f / slope if slope < 0.0 else math.nan
+        ulps = 2.0 * math.ulp(1.0) * (1.0 - x)
+        if f == 0.0 or abs(f) <= math.ulp(1.0) or (x == _LOWEST and f < 0.0) \
+                or abs(step) <= ulps:
             break
-        if abs(s_pre) > delta and abs(f_cur) < abs(f_pre):
-            if x_pre == x_blk:  # secant
-                s_try = -f_cur * (x_cur - x_pre) / (f_cur - f_pre)
-            else:  # inverse quadratic interpolation
-                d_pre = (f_pre - f_cur) / (x_pre - x_cur)
-                d_blk = (f_blk - f_cur) / (x_blk - x_cur)
-                s_try = -f_cur * (f_blk * d_blk - f_pre * d_pre) \
-                    / (d_blk * d_pre * (f_blk - f_pre))
-            if 2.0 * abs(s_try) < min(abs(s_pre), 3.0 * abs(s_bis) - delta):
-                s_pre, s_cur = s_cur, s_try
-            else:
-                s_pre = s_cur = s_bis
+        if f > 0.0:
+            low = x
         else:
-            s_pre = s_cur = s_bis
-        x_pre, f_pre = x_cur, f_cur
-        x_cur += s_cur if abs(s_cur) > delta else math.copysign(delta, s_bis)
-        f_cur = f(x_cur)
-    return x_cur, f_cur
+            high = x
+        if high - low <= ulps:
+            break
+        x = max(x + step, _LOWEST)  # max keeps a nan step's nan
+        if not low < x < high:  # a step out of the bracket, or no step:
+            # bisect log(-x), which resolves p near 1 as well as near 0
+            x = -math.sqrt(max(low, _LOWEST) * high)
+    return p, g * expected_reward - cost

@@ -15,7 +15,6 @@ with completion strictly before the honest reveal counting as success
 from __future__ import annotations
 
 import math
-import numbers
 import statistics
 from dataclasses import dataclass
 from functools import partial
@@ -23,8 +22,8 @@ from functools import partial
 import numpy as np
 
 from ._csv import write_csv
-from .core import MarkovOU, Scenario, validate_scenario
-from .equilibrium import _player_count
+from .core import MarkovOU, Scenario, as_count, validate_scenario
+from .equilibrium import _players
 
 __all__ = [
     "SimConfig",
@@ -55,9 +54,10 @@ class SimConfig:
 
     def violations(self) -> list[str]:
         out = []
-        if isinstance(self.trials, bool) or not (
-                isinstance(self.trials, numbers.Integral) and self.trials >= 1):
-            out.append(f"trials must be a positive integer (got {self.trials})")
+        try:
+            as_count(self.trials, "trials")
+        except ValueError as exc:
+            out.append(str(exc))
         if not 0.0 < self.confidence < 1.0:
             out.append(f"confidence must be in (0, 1) (got {self.confidence})")
         if not 0 <= self.seed < 2 ** 64:
@@ -284,9 +284,7 @@ def grinding_max_oracle(mean: float, draws: int, cfg: SimConfig) -> MomentEstima
     independent check of the harmonic-number closed form."""
     if not 0.0 <= mean < math.inf:
         raise ValueError(f"mean must be finite and >= 0 (got {mean})")
-    if isinstance(draws, bool) or not (
-            isinstance(draws, numbers.Integral) and draws >= 1):
-        raise ValueError(f"draws must be an integer >= 1 (got {draws!r})")
+    as_count(draws, "draws")
     _check_config(cfg)
     value, se = _mean_se(_per_block(
         cfg, lambda rng, size: rng.exponential(mean, (size, draws)).max(axis=1)))
@@ -297,7 +295,7 @@ def equilibrium_empirical_check(n: int, p: float,
                                 cfg: SimConfig) -> ConditionalInverseEstimate:
     """Sample K ~ Binomial(n, p), discard K = 0, and average 1/K; Monte
     Carlo oracle for the exact conditional expectation."""
-    n = _player_count(n)
+    n = _players(n)
     if not 0.0 < p <= 1.0:
         raise ValueError(f"p must be in (0, 1] (got {p})")
     _check_config(cfg)

@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -284,6 +285,23 @@ class TestEquilibriumCommand:
     def test_zero_players_is_validation_error(self, baseline_file):
         assert main(["equilibrium", baseline_file, "--players", "0"]) == 2
 
+    def test_players_past_the_cap_exit_two_naming_it(self, baseline_file,
+                                                      capsys):
+        rc = main(["equilibrium", baseline_file, "--players",
+                   "100000000000000000000", "--delay", "150"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "players must be an integer >= 1 and <= 1e+09" in err
+        assert "Traceback" not in err
+
+    def test_validator_scale_is_quick(self, baseline_file, capsys):
+        start = time.perf_counter()
+        rc = main(["equilibrium", baseline_file, "--players", "1000000",
+                   "--delay", "150"])
+        assert time.perf_counter() - start < 0.3
+        assert rc == 0
+        assert "regime: interior" in capsys.readouterr().out
+
 
 class TestSolveCommand:
     def test_secure_break_even(self, tmp_path, capsys):
@@ -519,6 +537,17 @@ class TestMiscellaneous:
         path.write_bytes(text.encode() + b"\xff\n")
         assert main([command, str(path)]) == 1
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["players", "grinding_size",
+                                      "coalition_size", "rounds"])
+    def test_a_400_digit_count_is_a_validation_error(self, name, tmp_path,
+                                                      capsys):
+        path = tmp_path / "huge.scenario"
+        path.write_text(BASELINE + f"{name} = 1{'0' * 400}\n")
+        assert main(["threshold", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{name} must be an integer" in err
+        assert "Traceback" not in err
 
     def test_inexact_count_is_a_parse_error(self, tmp_path, capsys):
         path = tmp_path / "big.scenario"

@@ -144,10 +144,46 @@ def test_harmonic_number_increases_across_the_branch_cutoff():
     assert all(b > a for a, b in zip(values, values[1:]))
 
 
-@pytest.mark.parametrize("n", [-1, -3, 2.0, 1.5, True, "4", None])
+@pytest.mark.parametrize("n", [-1, -3, 2.0, 1.5, True, "4", None, 10 ** 400])
 def test_harmonic_number_rejects_non_counts(n):
     with pytest.raises(ValueError, match="n must be"):
         harmonic_number(n)
+
+
+COUNTS = ("grinding_size", "coalition_size", "players", "rounds")
+
+
+@pytest.mark.parametrize("name", COUNTS)
+@pytest.mark.parametrize("value", [True, False, 0, -1, 1.5, math.nan,
+                                   math.inf, "3", 10 ** 400])
+def test_every_count_takes_the_one_rule(baseline_env, name, value):
+    # a bool is not a count, and a count too large for a float is judged
+    # without an OverflowError
+    s = Scenario(baseline_env, Constant(10.0), **{name: value})
+    violations = scenario_violations(s)
+    assert len(violations) == 1
+    assert violations[0].startswith(f"{name} must be an integer >= 1")
+
+
+@pytest.mark.parametrize("name", COUNTS)
+def test_counts_keep_integer_valued_floats_and_exact_ints(baseline_env, name):
+    for value in (3.0, np.int64(3), 10 ** 9):
+        s = Scenario(baseline_env, Constant(10.0), **{name: value})
+        assert scenario_violations(s) == []
+
+
+def test_players_are_capped_where_the_equilibrium_stops(baseline_env):
+    def players(n):
+        return scenario_violations(
+            Scenario(baseline_env, Constant(10.0), players=n))
+
+    assert players(core.MAX_PLAYERS) == []
+    assert players(core.MAX_PLAYERS + 1) == [
+        "players must be an integer >= 1 and <= 1e+09 "
+        "(got 1000000001)"]
+    # the other counts stop only where a float does
+    s = Scenario(baseline_env, Constant(10.0), rounds=10 ** 308)
+    assert scenario_violations(s) == []
 
 
 class TestRewardModels:

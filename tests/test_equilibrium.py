@@ -1,16 +1,13 @@
 import math
-import subprocess
-import sys
-from pathlib import Path
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-import esdp
 from esdp import equilibrium
-from esdp.core import Exponential, Scenario, validate_scenario
+from esdp.core import MAX_PLAYERS, Exponential, Scenario, validate_scenario
 from esdp.equilibrium import (
     EquilibriumResult,
     attacker_payoff,
@@ -31,34 +28,44 @@ def enumerate_conditional_inverse(n, p):
     return math.fsum(num) / math.fsum(den)
 
 
-def oracle_binomial_pmf(n, p):
-    """The pmf as it was built per call before the p-independent row was
-    cached: the cached row must reproduce it bit for bit."""
-    k = np.arange(n + 1)
-    log_factorial = np.array([math.lgamma(i + 1) for i in range(n + 1)])
-    log_pmf = (log_factorial[n] - log_factorial - log_factorial[::-1]
-               + k * math.log(p) + (n - k) * math.log1p(-p))
-    return np.exp(log_pmf)
+def exact_conditional_inverse(n, p):
+    """Oracle: E[1/K | K >= 1] in rational arithmetic, with p the binary
+    fraction a/d that it is and q = (d - a)/d exactly. The common factor
+    d^n cancels, and lcm(1..n) clears the 1/k, so the sums are integers:
+    Horner's rule in a over C(n, k) (lcm/k) a^k b^(n-k), with b = d - a."""
+    a, d = Fraction(p).as_integer_ratio()
+    b = d - a
+    lcm = math.lcm(*range(1, n + 1))
+    acc, choose, b_power = 0, 1, 1
+    for k in range(n, 0, -1):  # choose = C(n, k)
+        acc = acc * a + choose * (lcm // k) * b_power
+        choose = choose * k // (n - k + 1)
+        b_power *= b
+    return Fraction(acc * a, lcm * (d ** n - b ** n))
 
 
-def oracle_conditional_inverse(n, p):
+def telescoped_conditional_inverse(n, p):
+    """Oracle: E[1/K | K >= 1] from the telescoped identity
+    E[1/K; K >= 1] = sum_j q^(n-j) (1 - q^j) / j over j = 1..n, q = 1 - p.
+    Every term is positive, and fsum adds them exactly."""
     if n == 1:
         return 1.0
     if p == 1.0:
         return 1.0 / n
-    numerator = float(oracle_binomial_pmf(n, p)[1:]
-                      @ (1.0 / np.arange(1, n + 1)))
-    return numerator / -math.expm1(n * math.log1p(-p))
+    j = np.arange(1.0, n + 1.0)
+    log_q = math.log1p(-p)
+    terms = np.exp((n - j) * log_q) * -np.expm1(j * log_q) / j
+    return math.fsum(terms) / -math.expm1(n * log_q)
 
 
 def oracle_equilibrium(n, expected_reward, cost_rate, delay, speedup):
-    """200-step bisection on [1e-12, 1] over the oracle pmf."""
+    """200-step bisection on [1e-12, 1] over the telescoped identity."""
     cost = cost_rate * delay / speedup
     if expected_reward <= cost:
         return EquilibriumResult(0.0, 0.0, 0.0, "no-attack")
 
     def gap(p):
-        return oracle_conditional_inverse(n, p) * expected_reward - cost
+        return telescoped_conditional_inverse(n, p) * expected_reward - cost
 
     full = gap(1.0)
     if full > 0.0:
@@ -145,34 +152,49 @@ class TestConditionalInverseExpectation:
             conditional_inverse_expectation(5, 0.0)
 
     def test_subnormal_no_attack_probability(self):
-        # (1-p)^n = 1e-323 is subnormal here; compare the telescoped identity
-        # E[1/K; K >= 1] = sum_j q^(n-j) (1 - q^j) / j, q = 1 - p
+        # (1-p)^n = 1e-323 is subnormal here
         n, p = 355, 0.8774
-        log_q = math.log1p(-p)
-        telescoped = math.fsum(
-            math.exp((n - j) * log_q) * -math.expm1(j * log_q) / j
-            for j in range(1, n + 1)) / -math.expm1(n * log_q)
+        telescoped = telescoped_conditional_inverse(n, p)
         assert telescoped == pytest.approx(0.00321178, rel=1e-6)
         assert conditional_inverse_expectation(n, p) == pytest.approx(
             telescoped, rel=1e-12)
 
-    @pytest.mark.parametrize("n", [2, 3, 50, 355, 501, 2000, 5000])
-    def test_bit_identical_to_per_call_pmf(self, n):
-        for p in (1e-12, 1e-6, 0.01, 0.3, 0.8774, 1.0 - 1e-9):
-            assert conditional_inverse_expectation(n, p) == \
-                oracle_conditional_inverse(n, p)
+    def test_exact_oracle_on_seeded_cases(self):
+        rng = np.random.default_rng(17)
+        for _ in range(300):
+            n = int(rng.integers(2, 201))
+            p = float(rng.choice([rng.uniform(), 10.0 ** rng.uniform(-12, 0)]))
+            exact = exact_conditional_inverse(n, p)
+            value = conditional_inverse_expectation(n, p)
+            assert abs(Fraction(value) / exact - 1) <= 1e-14, (n, p)
+
+    @pytest.mark.parametrize("n", [2, 3, 50, 200, 355, 501, 2000, 5000])
+    def test_exact_oracles_on_the_edges(self, n):
+        # the rational oracle up to n = 501; past it, where it takes seconds,
+        # the telescoped fsum, itself within a few ulps
+        for p in (1e-300, 1e-12, 1e-6, 0.01, 0.3, 0.8774, 1.0 - 1e-9):
+            if p < 1e-200 and n > 200:
+                continue  # 1e-300 has a 1000-bit denominator
+            value = conditional_inverse_expectation(n, p)
+            if n <= 501:
+                error = abs(Fraction(value) / exact_conditional_inverse(n, p)
+                            - 1)
+            else:
+                error = abs(value / telescoped_conditional_inverse(n, p) - 1)
+            assert error <= 1e-14, p
 
     @pytest.mark.parametrize("n", [3, 5000])
     def test_never_above_one_at_tiny_p(self, n):
-        # the log-space pmf rounds the ratio past 1 here unless clamped
         assert conditional_inverse_expectation(n, 1e-300) == 1.0
 
     @given(n=st.integers(1, 5000), extra=st.integers(0, 100),
            p=st.floats(0.0, 1.0, exclude_min=True),
            q=st.floats(0.0, 1.0, exclude_min=True))
     def test_range_and_monotonicity_properties(self, n, extra, p, q):
-        # 1e-10 covers the rounding of the log-space pmf (<= 7e-12 at n=5000)
-        slack = 1.0 + 1e-10
+        # each value is a few ulps from the exact one: at most 3.9e-16 from
+        # rational arithmetic, and 8.9e-16 from the telescoped fsum (its own
+        # rounding included) over 20000 random cases with n <= 5100
+        slack = 1.0 + 2e-15
         p, q = min(p, q), max(p, q)
         value = conditional_inverse_expectation(n, p)
         assert 1.0 / n / slack <= value <= 1.0
@@ -247,7 +269,7 @@ class TestEquilibrium:
 
     def test_matches_oracle_bisection(self):
         # regimes and the no-attack and saturated results are exact; an
-        # interior p* from the Brent root agrees with the full-precision
+        # interior p* from the Newton root agrees with the full-precision
         # bisection to 1e-11 and leaves an indifference gap of 1e-12 E[V]
         rng = np.random.default_rng(4)
         regimes = {"no-attack": 0, "interior": 0, "saturated": 0}
@@ -274,7 +296,7 @@ class TestEquilibrium:
             assert result.expected_attackers == n * p_star
             assert result.per_attacker_profit == 0.0
             cost = cost_rate * delay / speedup
-            gap = oracle_conditional_inverse(n, p_star) * reward - cost
+            gap = telescoped_conditional_inverse(n, p_star) * reward - cost
             assert abs(gap) <= 1e-12 * reward
             assert result.residual <= 1e-12 * reward
         assert min(regimes.values()) >= 10, regimes
@@ -290,27 +312,42 @@ class TestEquilibrium:
                             counted)
         return equilibrium_attack_probability(*args), len(calls)
 
-    def test_a_solve_builds_the_binomial_row_once(self, monkeypatch):
-        row = equilibrium._binomial_row
-        row.cache_clear()
-        result, gap_evals = self._counted_solve(
-            monkeypatch, 4001, 10.0, 0.05, 400.0, 3.0)
-        assert result.regime == "interior"
-        info = row.cache_info()
-        assert info.misses == 1
-        # every evaluation reads the row once, except the one at p = 1
-        assert info.hits == gap_evals - 2
-        for array in row(4001):
-            assert not array.flags.writeable
-            with pytest.raises(ValueError):
-                array[0] = 0.0
-
     def test_an_interior_solve_spends_few_gap_evaluations(self, monkeypatch):
-        # the bisection to full precision spent 66 here
+        # the bisection to full precision spent 66 here, Brent's method 12
         result, gap_evals = self._counted_solve(
             monkeypatch, 4001, 10.0, 0.05, 400.0, 3.0)
         assert result.regime == "interior"
-        assert gap_evals <= 25
+        assert gap_evals <= 8
+
+    def test_validator_scale(self, monkeypatch):
+        # case study 4's scale: n = 10^6 validators
+        n, reward = 10 ** 6, 10.0
+        result, gap_evals = self._counted_solve(
+            monkeypatch, n, reward, 0.05, 150.0, 3.0)
+        assert result.regime == "interior"
+        assert gap_evals <= 8
+        cost = 0.05 * 150.0 / 3.0
+        gap = telescoped_conditional_inverse(
+            n, result.attack_probability) * reward - cost
+        assert abs(gap) <= 1e-14 * reward
+        assert result.residual <= 1e-14 * reward
+
+    def test_a_flat_gap_stops_at_its_rounding(self, monkeypatch):
+        # g(p) = 1 - p/4 + ... at n = 2: 1 - 1e-12 pins p* only to the
+        # rounding of g, about 1e-15 / (1/4) in p, and Newton stops there
+        result, gap_evals = self._counted_solve(
+            monkeypatch, 2, 1.0, 1.0 - 1e-12, 1.0, 1.0)
+        assert result.regime == "interior"
+        assert result.attack_probability == pytest.approx(4e-12, rel=1e-3)
+        assert result.residual <= 1e-15
+        assert gap_evals <= 8
+
+    def test_a_root_below_the_bracket_is_its_low_end(self, monkeypatch):
+        result, gap_evals = self._counted_solve(
+            monkeypatch, 50, 1.0, 1.0 - 1e-14, 1.0, 1.0)
+        assert result.regime == "interior"
+        assert result.attack_probability == math.exp(math.log(1e-12))
+        assert gap_evals <= 3
 
     @pytest.mark.parametrize("field, args", [
         ("expected_reward", (3, math.inf, 0.05, 600.0, 3.0)),
@@ -328,53 +365,6 @@ class TestEquilibrium:
             equilibrium_attack_probability(*args)
 
 
-class TestLogFactorialTable:
-    # the table grows at 50, 5000 and 12000 and serves 2, 4001 and 3 from
-    # what it holds; with p outermost every call misses the one-row cache
-    SWEEP = (50, 5000, 2, 4001, 12000, 3)
-    PS = (1e-12, 0.01, 0.3, 1.0 - 1e-9)
-
-    @pytest.fixture
-    def empty_table(self, monkeypatch):
-        monkeypatch.setattr(equilibrium, "_TABLE", (np.empty(0),) * 3)
-        equilibrium._binomial_row.cache_clear()
-
-    def test_bit_identical_while_the_table_grows(self, empty_table):
-        for p in self.PS:
-            for n in self.SWEEP:
-                assert conditional_inverse_expectation(n, p) == \
-                    oracle_conditional_inverse(n, p)
-
-    def test_a_sweep_over_n_spends_o_max_n_lgamma_calls(self, empty_table,
-                                                        monkeypatch):
-        calls = 0
-        lgamma = math.lgamma
-
-        def counted(x):
-            nonlocal calls
-            calls += 1
-            return lgamma(x)
-
-        monkeypatch.setattr(math, "lgamma", counted)
-        for p in self.PS:
-            for n in self.SWEEP:
-                conditional_inverse_expectation(n, p)
-        assert 0 < calls <= 2 * max(self.SWEEP) + 2
-        for array in equilibrium._TABLE:
-            assert array.size == calls
-            assert not array.flags.writeable
-
-    def test_import_builds_no_table(self):
-        code = ("import math; calls = []; lgamma = math.lgamma; "
-                "math.lgamma = lambda x: calls.append(x) or lgamma(x); "
-                "import esdp; from esdp import equilibrium; "
-                "print(len(calls), equilibrium._TABLE[0].size)")
-        out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True,
-            check=True, cwd=Path(esdp.__file__).parents[1]).stdout
-        assert out.split() == ["0", "0"]
-
-
 class TestPlayerCount:
     @pytest.mark.parametrize("n", [2.5, 0.5, math.nan, math.inf, -math.inf,
                                    0, -3, 0.0, "3", None, True])
@@ -385,6 +375,17 @@ class TestPlayerCount:
         for delay in (600.0, 60.0):
             with pytest.raises(ValueError, match="^n must be"):
                 equilibrium_attack_probability(n, 10.0, 0.05, delay, 3.0)
+
+    def test_the_cap_is_stated_and_kept(self):
+        for call in (lambda n: conditional_inverse_expectation(n, 0.5),
+                     lambda n: equilibrium_attack_probability(
+                         n, 10.0, 0.05, 150.0, 3.0)):
+            for n in (MAX_PLAYERS + 1, 10 ** 20, 10 ** 400):
+                with pytest.raises(ValueError, match=r"^n must be .*1e\+09"):
+                    call(n)
+        # the window at the cap is ~3.8e5 terms, not 1e9
+        value = conditional_inverse_expectation(MAX_PLAYERS, 0.5)
+        assert value == pytest.approx(2.0 / MAX_PLAYERS, rel=1e-8)
 
     def test_integer_valued_float_solves_as_an_int(self, baseline_env):
         scenario = Scenario(baseline_env, Exponential(10.0), players=3.0)
