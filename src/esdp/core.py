@@ -80,40 +80,79 @@ def harmonic_number(n: int) -> float:
         0.5 / x - 1.0 / (12.0 * x * x) + 1.0 / (120.0 * x ** 4)))
 
 
-_erfc_objects = np.frompyfunc(math.erfc, 1, 1)
-
-
-def _erfc(x: np.ndarray) -> np.ndarray:
-    """math.erfc over an array, as a float array: numpy has no erfc, and
-    frompyfunc runs the loop with less overhead than np.vectorize."""
-    return _erfc_objects(x).astype(float)
-
-
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
-_PANEL_WIDTH = 0.25
+# in units of a panel's half-width from its centre: its halves' nodes, and
+# the first level's nodes, the panel's own followed by its halves'
+_HALF_NODES = 0.5 * np.concatenate((_GL_NODES - 1.0, _GL_NODES + 1.0))
+_FIRST_NODES = np.concatenate((_GL_NODES, _HALF_NODES))
+# Panels start no wider than _PANEL_WIDTH: narrower ones cost evaluations
+# that most panels do not need, wider ones more levels, each one more call
+# of the integrand. _MAX_SPLITS halvings reach a 1024th of it.
+_PANEL_WIDTH = 1.0
+_MAX_SPLITS = 10
 
 
 def _log_cdf(*args: np.ndarray) -> np.ndarray:
     """log(1 - sum of Q(a) over args), Q(a) = 1 - Phi(a) = erfc(a/sqrt 2)/2:
-    exact in the upper tail by log1p, and -inf where the sum rounds to 1."""
-    tail = sum(0.5 * _erfc(a / math.sqrt(2.0)) for a in args)
+    exact in the upper tail by log1p, and -inf where the sum rounds to 1.
+    numpy has no erfc, so math.erfc is mapped over every argument's
+    elements in one pass."""
+    scaled = np.divide(args, math.sqrt(2.0))
+    erfc = np.fromiter(map(math.erfc, scaled.ravel().tolist()), float,
+                       scaled.size).reshape(scaled.shape)
+    tail = np.add.reduce(0.5 * erfc)
     return np.log1p(-tail, out=np.full_like(tail, -np.inf), where=tail < 1.0)
 
 
 def _checked_quadrature(f, lo: float, hi: float) -> float:
-    """Integral of the vectorized `f` over [lo, hi] by composite 8-point
-    Gauss-Legendre at panel widths _PANEL_WIDTH and _PANEL_WIDTH/2; raises
-    ValueError when the two differ by more than 1e-9 relative."""
-    sums = []
-    for width in (_PANEL_WIDTH, 0.5 * _PANEL_WIDTH):
-        half = 0.5 * (hi - lo) / max(1, math.ceil((hi - lo) / width))
-        x = np.arange(lo + half, hi, 2.0 * half)[:, None] + half * _GL_NODES
-        sums.append(half * float(np.sum(_GL_WEIGHTS * f(x))))
-    coarse, fine = sums
-    if not abs(coarse - fine) <= 1e-9 * abs(fine):
-        raise ValueError(f"quadrature did not converge: {fine!r} at panel "
-                         f"width {0.5 * _PANEL_WIDTH}, {coarse!r} at {_PANEL_WIDTH}")
-    return fine
+    """Integral of the vectorized `f` over [lo, hi] by 8-point
+    Gauss-Legendre on panels that are split until each is resolved.
+
+    The panels start no wider than _PANEL_WIDTH. Each panel's sum is
+    compared with the sum over its two halves; the panel is closed, with
+    the halves' sum, when the two differ by at most its width's share of
+    1e-9 of the first level's total, and is otherwise replaced by its
+    halves, whose sums are already known. All nodes of one level go to `f`
+    in one call, and no node is evaluated twice. Raises ValueError when
+    panels are still open after _MAX_SPLITS splits, or when the closed
+    panels' differences sum past 1e-9 of the result."""
+    count = max(1, math.ceil((hi - lo) / _PANEL_WIDTH))
+    radius = 0.5 * (hi - lo) / count
+    centers = lo + radius * np.arange(1.0, 2.0 * count, 2.0)
+    # the first level evaluates each panel and its halves in one call
+    sums = radius * (f(np.add.outer(centers, radius * _FIRST_NODES))
+                     .reshape(count, 3, 8) @ _GL_WEIGHTS)
+    coarse, halves = sums[:, 0], 0.5 * sums[:, 1:]
+    first = float(halves.sum())
+    if not math.isfinite(first):  # no split can mend an inf or a nan
+        raise ValueError(f"quadrature did not converge: {first!r}")
+    tolerance = 1e-9 / (hi - lo) * abs(first)
+    total = gaps = 0.0
+    for splits in range(_MAX_SPLITS + 1):
+        fine = halves[:, 0] + halves[:, 1]
+        gap = np.abs(coarse - fine)
+        done = gap <= tolerance * 2.0 * radius
+        total += float(fine[done].sum())
+        gaps += float(gap[done].sum())
+        if done.all():
+            break
+        if splits == _MAX_SPLITS:
+            raise ValueError(
+                f"quadrature did not converge: {np.count_nonzero(~done)} "
+                f"panels of width {2.0 * radius!r} still open after "
+                f"{_MAX_SPLITS} splits")
+        # the open panels' halves become the next level's panels
+        split = ~done
+        coarse = halves[split].ravel()
+        radius *= 0.5
+        centers = np.add.outer(centers[split], [-radius, radius]).ravel()
+        halves = 0.5 * radius * (
+            f(np.add.outer(centers, radius * _HALF_NODES)).reshape(-1, 2, 8)
+            @ _GL_WEIGHTS)
+    if not gaps <= 1e-9 * abs(total):
+        raise ValueError(f"quadrature did not converge: panel differences "
+                         f"{gaps!r} against a total of {total!r}")
+    return total
 
 
 @dataclass(frozen=True)

@@ -165,7 +165,9 @@ def _newton(n: int, expected_reward: float,
 
     It starts from the smaller of the two roots that the asymptotes
     1/g ~ 1 + (n - 1)p/4 (np small) and 1/g ~ (n + 1)p - 1 (np large)
-    give. Each step stays strictly inside the bracket of the points
+    give. Where rounding gives the slope the wrong sign (p* within about
+    eps n of 1), the secant through the previous point stands in for it.
+    Each step stays strictly inside the bracket of the points
     evaluated so far, or else bisects it (in log(-x), see below); a step
     below log 1e-12 goes to log 1e-12, which is p* when f <= 0 there. It
     stops when the step or the bracket is under 2 eps (1 + |x|), a few ulps
@@ -178,12 +180,16 @@ def _newton(n: int, expected_reward: float,
     # float below 1, so that an interior p* stays below 1
     low, high = -math.inf, -0.5 * math.ulp(1.0)
     x = min(math.log(max(start, 1e-12)), high)
+    x_last = f_last = math.nan
     for _ in range(_MAX_GAP_EVALS):
         p = math.exp(x)
         g = conditional_inverse_expectation(n, p)
         f = math.log(g) - math.log(c)
         slope = (1.0 / g - n * p / -math.expm1(n * math.log1p(-p))) / (1.0 - p)
+        if not slope < 0.0:  # rounding flipped it: the secant's, if any
+            slope = (f - f_last) / (x - x_last)
         step = -f / slope if slope < 0.0 else math.nan
+        x_last, f_last = x, f
         ulps = 2.0 * math.ulp(1.0) * (1.0 - x)
         if f == 0.0 or abs(f) <= math.ulp(1.0) or (x == _LOWEST and f < 0.0) \
                 or abs(step) <= ulps:

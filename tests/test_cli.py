@@ -217,11 +217,11 @@ class TestThresholdCommand:
 
     def test_unconverged_quadrature_exits_two(self, tmp_path, monkeypatch,
                                               capsys):
-        monkeypatch.setattr(core, "_PANEL_WIDTH", 4.0)
+        monkeypatch.setattr(core, "_MAX_SPLITS", 0)
         heavy = tmp_path / "heavy.scenario"
         heavy.write_text(BASELINE.replace(
             "reward.kind = exponential",
-            "reward.kind = lognormal\nreward.variance = 1e4\ngrinding_size = 16"))
+            "reward.kind = lognormal\nreward.variance = 1e4\ngrinding_size = 1024"))
         assert main(["threshold", str(heavy), "--delay", "700"]) == 2
         err = capsys.readouterr().err
         assert "grinding: quadrature did not converge" in err

@@ -1,7 +1,10 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from esdp import core
 from esdp.core import (
@@ -340,9 +343,11 @@ class TestRewardModels:
         (Lognormal(10.0, 1e4), None), (MarkovOU(10.0, 10.0, 0.1, 2.0), 30.0)])
     def test_expected_max_raises_when_panel_halving_disagrees(
             self, monkeypatch, model, horizon):
-        monkeypatch.setattr(core, "_PANEL_WIDTH", 4.0)
+        # at G = 1024 some first-level panel needs a split, which a cap of
+        # 0 splits forbids
+        monkeypatch.setattr(core, "_MAX_SPLITS", 0)
         with pytest.raises(ValueError, match="quadrature did not converge"):
-            model.expected_max(16, horizon=horizon)
+            model.expected_max(1024, horizon=horizon)
 
     def test_markov_ou_needs_positive_reversion(self):
         assert MarkovOU(10.0, 10.0, 0.0, 2.0).violations()
@@ -350,3 +355,95 @@ class TestRewardModels:
     def test_markov_ou_requires_horizon_for_draw_moments(self):
         with pytest.raises(ValueError):
             MarkovOU(10.0, 10.0, 0.1, 2.0).expected_max(3)
+
+
+def two_width_quadrature(f, lo, hi):
+    """The fixed rule the panel bisection replaced, kept as its reference:
+    composite 8-point Gauss-Legendre at panel widths 0.25 and 0.125, which
+    must agree to 1e-9 relative."""
+    sums = []
+    for width in (0.25, 0.125):
+        half = 0.5 * (hi - lo) / max(1, math.ceil((hi - lo) / width))
+        x = np.arange(lo + half, hi, 2.0 * half)[:, None] + half * core._GL_NODES
+        sums.append(half * float(np.sum(core._GL_WEIGHTS * f(x))))
+    coarse, fine = sums
+    assert abs(coarse - fine) <= 1e-9 * abs(fine)
+    return fine
+
+
+def lognormal_max_oracle(model, draws):
+    """E[max of `draws`] by scipy's adaptive quad in log space:
+    G mean phi(z - sigma) Phi(z)^(G-1), with log Phi from log_ndtr."""
+    pytest.importorskip("scipy")
+    from scipy import integrate, special
+    sigma = model._underlying()[1]
+    peak = math.sqrt(2.0 * math.log(draws))
+    log_scale = math.log(draws * model.mean_value) - 0.5 * math.log(2 * math.pi)
+
+    def f(z):
+        return math.exp(log_scale - (z - sigma) ** 2 / 2
+                        + (draws - 1) * special.log_ndtr(z))
+
+    value, _ = integrate.quad(f, -40.0, sigma + peak + 40.0, limit=500,
+                              points=[sigma, peak - 1.0, peak, peak + 1.0],
+                              epsabs=0.0, epsrel=1e-13)
+    return value
+
+
+def markov_ou_max_oracle(model, draws, horizon):
+    """E[max of `draws`] of |N(m, s^2)| by scipy's adaptive quad of
+    1 - F^G over x >= 0, F(x) = 1 - ndtr(-(x - m)/s) - ndtr(-(x + m)/s)."""
+    pytest.importorskip("scipy")
+    from scipy import integrate, special
+    m = model.transition_mean(model.initial, horizon)
+    s = model.transition_std(horizon)
+
+    def f(x):
+        tail = special.ndtr((m - x) / s) + special.ndtr(-(x + m) / s)
+        return 1.0 if tail >= 1.0 else -math.expm1(draws * math.log1p(-tail))
+
+    peak = m + s * math.sqrt(2.0 * math.log(draws))
+    value, _ = integrate.quad(f, 0.0, peak + 40.0 * s, limit=500,
+                              points=[max(m, 0.0), peak],
+                              epsabs=0.0, epsrel=1e-13)
+    return value
+
+
+class TestExpectedMaxQuadrature:
+    # the fixed two-width rule raised "did not converge" at each of these
+    # but variance 1e4 at G = 10**13
+    @pytest.mark.parametrize("variance", [1.0, 1e4])
+    @pytest.mark.parametrize("draws", [10 ** 13, 10 ** 30, 10 ** 300])
+    def test_lognormal_at_huge_grinding_matches_scipy(self, variance, draws):
+        model = Lognormal(10.0, variance)
+        assert model.expected_max(draws) == pytest.approx(
+            lognormal_max_oracle(model, draws), rel=1e-9)
+
+    @pytest.mark.parametrize("model, horizon", [
+        (MarkovOU(10.0, 10.0, 0.1, 2.0), 30.0),
+        (MarkovOU(0.0, 0.0, 0.1, 2.0), 60.0)])
+    @pytest.mark.parametrize("draws", [10 ** 60, 10 ** 100])
+    def test_markov_ou_at_huge_grinding_matches_scipy(self, model, horizon,
+                                                      draws):
+        assert model.expected_max(draws, horizon=horizon) == pytest.approx(
+            markov_ou_max_oracle(model, draws, horizon), rel=1e-9)
+
+    @given(kind=st.sampled_from(["lognormal", "markov_ou"]),
+           draws=st.integers(2, 1024),
+           mean=st.floats(1.0, 100.0),
+           log_variance=st.floats(0.0, math.log(1e6)),
+           initial=st.floats(0.0, 30.0), long_run=st.floats(1.0, 30.0),
+           kappa=st.floats(0.01, 0.5), volatility=st.floats(0.5, 5.0),
+           horizon=st.floats(60.0, 7200.0))
+    def test_bisection_agrees_with_the_two_width_rule(
+            self, kind, draws, mean, log_variance, initial, long_run, kappa,
+            volatility, horizon):
+        # the ranges the closed-form benchmark draws these rewards from
+        model = Lognormal(mean, math.exp(log_variance)) \
+            if kind == "lognormal" else \
+            MarkovOU(initial, long_run, kappa, volatility)
+        bisected = model.expected_max(draws, horizon=horizon)
+        with mock.patch.object(core, "_checked_quadrature",
+                               two_width_quadrature):
+            fixed = model.expected_max(draws, horizon=horizon)
+        assert bisected == pytest.approx(fixed, rel=1e-11)

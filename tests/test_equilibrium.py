@@ -349,6 +349,18 @@ class TestEquilibrium:
         assert result.attack_probability == math.exp(math.log(1e-12))
         assert gap_evals <= 3
 
+    def test_a_root_within_rounding_of_one(self, monkeypatch):
+        # p* = 1 - 4.8e-12: the analytic slope divides g's rounding by
+        # 1 - p and comes out positive; bisecting in its place took 20
+        # evaluations
+        result, gap_evals = self._counted_solve(
+            monkeypatch, 5168471, 1.0, 1.9348081860278767e-07, 1.0, 1.0)
+        assert result.regime == "interior"
+        assert result.attack_probability == pytest.approx(1.0 - 4.77e-12,
+                                                          abs=1e-14)
+        assert result.residual <= 3.18e-22
+        assert gap_evals <= 8
+
     @pytest.mark.parametrize("field, args", [
         ("expected_reward", (3, math.inf, 0.05, 600.0, 3.0)),
         ("expected_reward", (3, math.nan, 0.05, 600.0, 3.0)),

@@ -279,9 +279,9 @@ class TestGrinding:
 
     def test_unconverged_quadrature_names_the_condition(self, baseline_env,
                                                         monkeypatch):
-        monkeypatch.setattr(core, "_PANEL_WIDTH", 4.0)
+        monkeypatch.setattr(core, "_MAX_SPLITS", 0)
         scenario = Scenario(baseline_env, Lognormal(10.0, 1e4),
-                            grinding_size=16)
+                            grinding_size=1024)
         with pytest.raises(ValueError,
                            match="^grinding: quadrature did not converge"):
             esdp(scenario)
