@@ -9,16 +9,34 @@ the attacker's dynamic compute/idle problem on a grid, solves the
 multi-attacker entry game, and cross-validates everything by seeded Monte
 Carlo. The `esdp` command line exposes each piece and regenerates the
 bundled case studies.
+
+`import esdp` loads no submodule. The first lookup of any other name
+imports the modules in _MODULES and binds every name in their `__all__`
+lists. No module loads numpy until a function that builds arrays runs.
 """
 
 __version__ = "0.1.0"
 
-from . import core, equilibrium, montecarlo, stopping, thresholds
-from .core import *
-from .equilibrium import *
-from .montecarlo import *
-from .stopping import *
-from .thresholds import *
+_MODULES = ("core", "thresholds", "stopping", "equilibrium", "montecarlo")
 
-__all__ = ["__version__", *core.__all__, *thresholds.__all__,
-           *stopping.__all__, *equilibrium.__all__, *montecarlo.__all__]
+
+def __getattr__(name):
+    if "__all__" not in globals():
+        from importlib import import_module
+        exported = ["__version__"]
+        for submodule in _MODULES:
+            module = import_module(f".{submodule}", __name__)
+            globals().update((each, getattr(module, each))
+                             for each in module.__all__)
+            exported += module.__all__
+        globals()["__all__"] = exported
+    try:
+        return globals()[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}") from None
+
+
+def __dir__():
+    __getattr__("__all__")
+    return sorted(globals())

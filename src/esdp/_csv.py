@@ -9,13 +9,17 @@ booleans as decimal integers.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:  # annotations only: numpy loads where arrays are made
+    import numpy as np
 
 _BLOCK_ROWS = 4096
 
 
 def _format(block: np.ndarray) -> list[str]:
     """Text of each entry of a 1-D block."""
+    import numpy as np
     if block.dtype.kind == "f":
         # keyed on the bit pattern, so -0.0 and 0.0 stay distinct
         keys = np.asarray(block, dtype=np.float64).view(np.int64)
@@ -31,6 +35,7 @@ def _format(block: np.ndarray) -> list[str]:
 def write_csv(path, header, columns) -> None:
     """Write `columns`, arrays broadcast to one shape (transposed views
     welcome), as CSV rows in C order under the column names `header`."""
+    import numpy as np
     columns = np.broadcast_arrays(*columns)
     rows = columns[0].size
     with open(path, "w", newline="\n") as handle:

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ._csv import write_csv
 from .thresholds import (
     expected_max_exponential,
@@ -51,6 +49,7 @@ class CaseStudyOutput:
                 for name, unit in zip(self.column_names, self.column_units)]
 
     def to_csv(self, path) -> None:
+        import numpy as np
         table = np.array(self.rows, dtype=float).reshape(
             -1, len(self.column_names))
         write_csv(path, self.header(), table.T)
@@ -75,6 +74,7 @@ def _sorted_rows(rows) -> tuple[tuple[float, ...], ...]:
 def case1_profit_curves(delays=None) -> CaseStudyOutput:
     """Expected attack profit against delay for reward levels 10/50/100 USD:
     profit = reward - cost_rate*T/speedup, break-even at 60*reward seconds."""
+    import numpy as np
     if delays is None:
         delays = np.arange(0.0, 7201.0, 60.0)
     levels = (10.0, 50.0, 100.0)
@@ -100,6 +100,7 @@ def case1_profit_curves(delays=None) -> CaseStudyOutput:
 def case2_delay_curve(reward_bounds=None) -> CaseStudyOutput:
     """Required delay for a capped-value randomness service: 60 seconds per
     USD of worst-case reward under the baseline economics."""
+    import numpy as np
     if reward_bounds is None:
         reward_bounds = np.arange(0.0, 201.0, 5.0)
     rows = [(v, linear_threshold(BASELINE_SPEEDUP, BASELINE_COST_RATE, v))

@@ -14,11 +14,14 @@ violated invariant so callers see the full list at once.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:  # annotations only: numpy loads where arrays are made
+    import numpy as np
 
 __all__ = [
     "harmonic_number",
@@ -76,15 +79,21 @@ def harmonic_number(n: int) -> float:
     if n <= 1024:
         return math.fsum(1.0 / i for i in range(1, n + 1))
     x = float(n)
-    return math.log(x) + (np.euler_gamma + (
+    return math.log(x) + (0.5772156649015329 + (  # Euler's gamma
         0.5 / x - 1.0 / (12.0 * x * x) + 1.0 / (120.0 * x ** 4)))
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
-# in units of a panel's half-width from its centre: its halves' nodes, and
-# the first level's nodes, the panel's own followed by its halves'
-_HALF_NODES = 0.5 * np.concatenate((_GL_NODES - 1.0, _GL_NODES + 1.0))
-_FIRST_NODES = np.concatenate((_GL_NODES, _HALF_NODES))
+@functools.cache
+def _gauss_legendre():
+    """The 8-point Gauss-Legendre nodes and weights on [-1, 1], then, in
+    units of a panel's half-width from its centre, its halves' nodes and
+    the first level's nodes: the panel's own followed by its halves'."""
+    import numpy as np
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    half = 0.5 * np.concatenate((nodes - 1.0, nodes + 1.0))
+    return nodes, weights, half, np.concatenate((nodes, half))
+
+
 # Panels start no wider than _PANEL_WIDTH: narrower ones cost evaluations
 # that most panels do not need, wider ones more levels, each one more call
 # of the integrand. _MAX_SPLITS halvings reach a 1024th of it.
@@ -97,6 +106,7 @@ def _log_cdf(*args: np.ndarray) -> np.ndarray:
     exact in the upper tail by log1p, and -inf where the sum rounds to 1.
     numpy has no erfc, so math.erfc is mapped over every argument's
     elements in one pass."""
+    import numpy as np
     scaled = np.divide(args, math.sqrt(2.0))
     erfc = np.fromiter(map(math.erfc, scaled.ravel().tolist()), float,
                        scaled.size).reshape(scaled.shape)
@@ -116,12 +126,14 @@ def _checked_quadrature(f, lo: float, hi: float) -> float:
     in one call, and no node is evaluated twice. Raises ValueError when
     panels are still open after _MAX_SPLITS splits, or when the closed
     panels' differences sum past 1e-9 of the result."""
+    import numpy as np
+    _, weights, half_nodes, first_nodes = _gauss_legendre()
     count = max(1, math.ceil((hi - lo) / _PANEL_WIDTH))
     radius = 0.5 * (hi - lo) / count
     centers = lo + radius * np.arange(1.0, 2.0 * count, 2.0)
     # the first level evaluates each panel and its halves in one call
-    sums = radius * (f(np.add.outer(centers, radius * _FIRST_NODES))
-                     .reshape(count, 3, 8) @ _GL_WEIGHTS)
+    sums = radius * (f(np.add.outer(centers, radius * first_nodes))
+                     .reshape(count, 3, 8) @ weights)
     coarse, halves = sums[:, 0], 0.5 * sums[:, 1:]
     first = float(halves.sum())
     if not math.isfinite(first):  # no split can mend an inf or a nan
@@ -147,8 +159,8 @@ def _checked_quadrature(f, lo: float, hi: float) -> float:
         radius *= 0.5
         centers = np.add.outer(centers[split], [-radius, radius]).ravel()
         halves = 0.5 * radius * (
-            f(np.add.outer(centers, radius * _HALF_NODES)).reshape(-1, 2, 8)
-            @ _GL_WEIGHTS)
+            f(np.add.outer(centers, radius * half_nodes)).reshape(-1, 2, 8)
+            @ weights)
     if not gaps <= 1e-9 * abs(total):
         raise ValueError(f"quadrature did not converge: panel differences "
                          f"{gaps!r} against a total of {total!r}")
@@ -227,6 +239,7 @@ class Constant(RewardModel):
         return self.value
 
     def sample(self, rng, size, horizon=None):
+        import numpy as np
         return np.full(size, self.value, dtype=float)
 
     def expected_max(self, draws, horizon=None):
@@ -287,16 +300,19 @@ class Lognormal(RewardModel):
     def expected_max(self, draws, horizon=None):
         if draws == 1:
             return self.mean_value
-        # integral of G x(z) phi(z) Phi(z)^(G-1) over z, x = exp(mu + sigma z);
-        # x(z) phi(z) = mean * phi(z - sigma) keeps the exponent finite
+        import numpy as np
+        # mean times the integral of G x(z) phi(z) Phi(z)^(G-1) over z, with
+        # x = exp(mu + sigma z) / mean: x(z) phi(z) = phi(z - sigma) keeps the
+        # exponent finite, and the mean, taken out, keeps G * mean from
+        # passing the float range
         sigma = self._underlying()[1]
-        scale = draws * self.mean_value / math.sqrt(2.0 * math.pi)
+        scale = draws / math.sqrt(2.0 * math.pi)
 
         def integrand(z):
             return scale * np.exp((draws - 1) * _log_cdf(z) - (z - sigma) ** 2 / 2)
 
         top = sigma + math.sqrt(2.0 * math.log(draws)) + 10.0
-        return _checked_quadrature(integrand, -12.0, top)
+        return self.mean_value * _checked_quadrature(integrand, -12.0, top)
 
     def violations(self):
         out = []
@@ -320,12 +336,15 @@ class Empirical(RewardModel):
     kind = "empirical"
 
     def mean(self, horizon=None):
+        import numpy as np
         return float(np.mean(self.samples))
 
     def sample(self, rng, size, horizon=None):
+        import numpy as np
         return rng.choice(np.asarray(self.samples, dtype=float), size=size)
 
     def expected_max(self, draws, horizon=None):
+        import numpy as np
         # exact order statistic of sampling with replacement
         ordered = np.sort(np.asarray(self.samples, dtype=float))
         n = ordered.size
@@ -355,6 +374,7 @@ class Bounded(RewardModel):
         return self.max_value
 
     def sample(self, rng, size, horizon=None):
+        import numpy as np
         return np.full(size, self.max_value, dtype=float)
 
     def expected_max(self, draws, horizon=None):
@@ -399,6 +419,7 @@ class MarkovOU(RewardModel):
     def step(self, v, dt: float, rng):
         """Advance every reward in `v` by one exact transition over `dt`,
         reflected at 0."""
+        import numpy as np
         return np.abs(self.transition_mean(v, dt)
                       + self.transition_std(dt) * rng.standard_normal(v.shape))
 
@@ -411,6 +432,7 @@ class MarkovOU(RewardModel):
         return self.transition_mean(self.initial, horizon)
 
     def sample(self, rng, size, horizon=None):
+        import numpy as np
         if horizon is None:
             return np.full(size, self.initial, dtype=float)
         return self.step(np.full(size, self.initial), horizon, rng)
@@ -424,6 +446,7 @@ class MarkovOU(RewardModel):
         s = self.transition_std(horizon)
         if s == 0.0:
             return abs(m)
+        import numpy as np
         # integral of 1 - F^G over x >= 0 for the reflected law, in
         # u = (x - m)/s where P(|X| > x) = Q(u) + Q(u + 2m/s); below u = -14,
         # F^G < 1e-44 and the stretch adds its length exactly

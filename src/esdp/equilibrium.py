@@ -31,8 +31,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import MAX_PLAYERS, as_count
 
 __all__ = [
@@ -91,6 +89,7 @@ def conditional_inverse_expectation(n: int, p: float) -> float:
         return 1.0  # K is identically 1 given K >= 1
     if p == 1.0:
         return 1.0 / n
+    import numpy as np
     q = 1.0 - p
     mean = n * p
     reach = 12.0 * math.sqrt(mean * q) + 48.0

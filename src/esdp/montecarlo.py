@@ -15,15 +15,16 @@ with completion strictly before the honest reveal counting as success
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass
 from functools import partial
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from ._csv import write_csv
 from .core import MarkovOU, Scenario, as_count, validate_scenario
 from .equilibrium import _players
+
+if TYPE_CHECKING:  # annotations only: numpy loads where arrays are made
+    import numpy as np
 
 __all__ = [
     "SimConfig",
@@ -72,6 +73,7 @@ def _check_config(cfg: SimConfig) -> None:
 
 
 def _substream(seed: int, block: int) -> np.random.Generator:
+    import numpy as np
     # distinct 128-bit Philox keys per (seed, block): independent streams
     return np.random.Generator(
         np.random.Philox(key=int(seed) + (block << 64)))
@@ -86,6 +88,7 @@ def _per_block(cfg: SimConfig, draw) -> np.ndarray:
     of a shorter one, and its partial last block too when draw takes each
     trial's variates together (not so for the rollout, which draws a
     block one time step at a time)."""
+    import numpy as np
     for block in range(math.ceil(cfg.trials / _BLOCK)):
         start = block * _BLOCK
         rows = draw(_substream(cfg.seed, block),
@@ -101,6 +104,7 @@ def _mean_se(x: np.ndarray) -> tuple[float, float]:
     taken on x scaled by a power of two to |x| <= 1, which moves no bit of
     either for a sample of normal floats but keeps the sum and the squares
     finite when |x| nears the largest float."""
+    import numpy as np
     exponent = math.frexp(float(np.max(np.abs(x))))[1]
     x = np.ldexp(x, -exponent)
     se = float(np.std(x, ddof=1) / math.sqrt(x.size)) if x.size > 1 else 0.0
@@ -108,7 +112,8 @@ def _mean_se(x: np.ndarray) -> tuple[float, float]:
 
 
 def _z_value(confidence: float) -> float:
-    return statistics.NormalDist().inv_cdf(0.5 * (1.0 + confidence))
+    from statistics import NormalDist  # a few ms to import: only when used
+    return NormalDist().inv_cdf(0.5 * (1.0 + confidence))
 
 
 @dataclass(frozen=True)
@@ -157,6 +162,7 @@ class ConditionalInverseEstimate:
 
 def profit_estimate(profits: np.ndarray, confidence: float) -> ProfitEstimate:
     """Normal-approximation summary of a profit sample."""
+    import numpy as np
     profits = np.asarray(profits, dtype=float)
     mean, se = _mean_se(profits)
     half = _z_value(confidence) * se
@@ -189,6 +195,7 @@ def commit_profit_samples(scenario: Scenario, cfg: SimConfig,
     terminal reward draw on success; with speedup exactly 1 it finishes at
     the honest reveal, which the strict success rule counts as failure.
     """
+    import numpy as np
     env = scenario.env
     T = env.honest_delay if delay is None else delay
     rewards, cost = _commit_draw(scenario, cfg, T)
@@ -213,6 +220,7 @@ def rollout_policy(policy_grid, scenario: Scenario,
     that `solve` returns (time the slowest axis in memory) is read in
     place; any other layout is copied once into it.
     """
+    import numpy as np
     _check_config(cfg)
     scenario = validate_scenario(scenario)
     if scenario != policy_grid.scenario:
@@ -269,6 +277,7 @@ def estimate_tail_probability(scenario: Scenario, delay: float,
     """Estimate P[V - cost_rate*delay/speedup > 0] by sampling terminal
     rewards; the empirical check of the moment-bound (Chebyshev) design
     rule. Requires a reward model with finite mean and variance."""
+    import numpy as np
     draws, cost = _commit_draw(scenario, cfg, delay)
     fraction = int(np.count_nonzero(draws - cost > 0.0)) / cfg.trials
     se = math.sqrt(fraction * (1.0 - fraction) / cfg.trials)
@@ -314,5 +323,6 @@ def equilibrium_empirical_check(n: int, p: float,
 def write_trials_csv(path, profits, successes, stop_times) -> None:
     """Stream per-trial results as CSV with columns
     trial, profit(USD), success, stop_time(s)."""
+    import numpy as np
     write_csv(path, ("trial", "profit(USD)", "success", "stop_time(s)"),
               (np.arange(len(profits)), profits, successes, stop_times))

@@ -41,8 +41,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:  # annotations only: numpy loads where arrays are made
+    import numpy as np
 
 from ._csv import write_csv
 from .core import Constant, MarkovOU, Scenario, validate_scenario
@@ -149,6 +151,7 @@ def _transition_matrix(model: MarkovOU, v_values: np.ndarray, dt: float,
     """Row-stochastic kernel W with W[i, :] the quadrature weights of the
     reflected one-step law started from v_values[i], interpolated onto the
     reward grid (mass beyond the top clamped to the last point)."""
+    import numpy as np
     n_v = v_values.size
     x, w = np.polynomial.hermite.hermgauss(nodes)
     weights = w / math.sqrt(math.pi)
@@ -180,6 +183,7 @@ def solve(scenario: Scenario, grid: GridSpec) -> tuple[ValueGrid, PolicyGrid]:
     Rejects time steps that do not divide the delay and grids so coarse
     that one compute step overshoots the whole evaluation.
     """
+    import numpy as np
     scenario = validate_scenario(scenario)
     model = scenario.reward
     if not isinstance(model, (Constant, MarkovOU)):
@@ -254,12 +258,14 @@ def solve(scenario: Scenario, grid: GridSpec) -> tuple[ValueGrid, PolicyGrid]:
 def initial_value(vg: ValueGrid, reward: float) -> float:
     """J at the decision state (s = honest delay, t = seed time), linearly
     interpolated in the reward axis."""
+    import numpy as np
     return float(np.interp(reward, vg.v_values, vg.values[0, :, 0]))
 
 
 def initial_security_verdict(vg: ValueGrid) -> InitialSecurityVerdict:
     """Secure/insecure per initial reward level, with tolerance of one time
     step of compute cost (the discretization floor of the solved J)."""
+    import numpy as np
     tolerance = vg.scenario.env.cost_rate * vg.spec.time_step
     initial_values = vg.values[0, :, 0].copy()
     secure = initial_values <= tolerance
@@ -282,6 +288,7 @@ def _first_compute(compute: np.ndarray) -> tuple[np.ndarray, int]:
 
     Reads the policy time-major, where each slice is contiguous, so the
     time-major layout `solve` returns is scanned without a copy."""
+    import numpy as np
     n_v = compute.shape[1]
     by_time = np.moveaxis(compute, 2, 0)
     count = np.count_nonzero(by_time, axis=2)
@@ -295,6 +302,7 @@ def check_threshold_structure(pg: PolicyGrid) -> StructureReport:
     slice the compute region must be an upper set in the reward. Returns
     the violating triples (content of the report, not an error). The
     violations are counted first and listed only when some exist."""
+    import numpy as np
     _, gaps = _first_compute(pg.compute)
     if gaps:
         seen_below = np.logical_or.accumulate(pg.compute, axis=1)
@@ -311,6 +319,7 @@ def extract_decision_boundary(pg: PolicyGrid) -> np.ndarray:
     cell; +inf marks cells where computing is never optimal (infeasible
     states and everything at or after the reveal). Requires a monotone
     policy so the boundary is well defined."""
+    import numpy as np
     first, gaps = _first_compute(pg.compute)
     if gaps:
         raise ValueError(

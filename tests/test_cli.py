@@ -252,6 +252,20 @@ class TestThresholdCommand:
         assert "grinding" in captured.out and "mean profit: " in captured.out
         assert captured.err == ""
 
+    @pytest.mark.parametrize("mean, draws", [(1e300, 10 ** 15), (1e308, 2)])
+    def test_lognormal_grinding_past_the_float_range_answers(
+            self, mean, draws, tmp_path, capsys):
+        # G * mean passes the largest float, while E[max] does not
+        path = tmp_path / "lognormal.scenario"
+        path.write_text(BASELINE.replace(
+            "reward.kind = exponential\nreward.mean = 10.0",
+            f"reward.kind = lognormal\nreward.mean = {mean!r}\n"
+            f"reward.variance = 1e300\ngrinding_size = {draws}"))
+        assert main(["threshold", str(path)]) in (0, 3)
+        captured = capsys.readouterr()
+        assert "grinding" in captured.out
+        assert captured.err == ""
+
     def test_json_report_written(self, baseline_file, tmp_path, capsys):
         out_dir = tmp_path / "report"
         rc = main(["threshold", baseline_file, "--delay", "1000",
@@ -597,3 +611,69 @@ class TestMiscellaneous:
             cwd=Path(esdp.__file__).parents[1])
         assert proc.returncode == 3
         assert "verdict: INSECURE" in proc.stdout
+
+
+def run_fresh(code, *args):
+    """Run `code` in a fresh interpreter that imports esdp from this
+    checkout; returns the completed process."""
+    return subprocess.run(
+        [sys.executable, "-c", code, *map(str, args)], capture_output=True,
+        text=True, cwd=Path(esdp.__file__).parents[1])
+
+
+# runs the CLI on argv, then prints whether numpy was loaded
+CLI_THEN_NUMPY = """\
+import sys
+from esdp.cli import main
+code = main(sys.argv[1:])
+print("numpy loaded:", "numpy" in sys.modules)
+sys.exit(code)
+"""
+
+
+class TestImportContract:
+    def test_import_esdp_loads_no_submodule_and_no_numpy(self):
+        proc = run_fresh(
+            "import sys, esdp; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('esdp', 'numpy')))")
+        assert proc.stdout.strip() == "['esdp']"
+
+    @pytest.mark.parametrize("argv, code", [
+        (["threshold", "{path}"], 0),
+        (["threshold", "{path}", "--delay", "1"], 3),
+        (["--version"], 0)])
+    def test_cli_runs_without_numpy(self, argv, code, baseline_file):
+        proc = run_fresh(CLI_THEN_NUMPY,
+                         *(a.format(path=baseline_file) for a in argv))
+        assert proc.returncode == code, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "numpy loaded: False"
+        assert proc.stderr == ""
+
+    def test_lognormal_grinding_report_is_unchanged(self, tmp_path):
+        path = tmp_path / "grind.scenario"
+        path.write_text(BASELINE.replace(
+            "reward.kind = exponential\nreward.mean = 10.0",
+            "reward.kind = lognormal\nreward.mean = 10.0\n"
+            "reward.variance = 1e4\ngrinding_size = 1024\n"
+            "grinding_cost_exponent = 0.5"))
+        proc = run_fresh(CLI_THEN_NUMPY, "threshold", path, "--delay", 700)
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stdout == (
+            "condition  required delay (s)\n"
+            "linear    600\n"
+            "grinding  2868.78\n"
+            "ESDP: 2868.78 s (binding: grinding)\n"
+            "verdict: INSECURE at delay 700 s\n"
+            "numpy loaded: True\n")
+
+    def test_star_import_and_dir_give_every_exported_name(self):
+        proc = run_fresh(
+            "import esdp\n"
+            "names = {}\n"
+            "exec('from esdp import *', names)\n"
+            "print([n for n in esdp.__all__ if n not in names])\n"
+            "print([n for n in esdp.__all__ if n not in dir(esdp)])\n"
+            "print(len(esdp.__all__))\n")
+        missing_star, missing_dir, count = proc.stdout.splitlines()
+        assert (missing_star, missing_dir) == ("[]", "[]")
+        assert int(count) == len(esdp.__all__)

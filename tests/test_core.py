@@ -357,15 +357,23 @@ class TestRewardModels:
             MarkovOU(10.0, 10.0, 0.1, 2.0).expected_max(3)
 
 
+def test_gauss_legendre_rule_is_numpys():
+    nodes, weights = core._gauss_legendre()[:2]
+    want_nodes, want_weights = np.polynomial.legendre.leggauss(8)
+    assert nodes.tolist() == want_nodes.tolist()
+    assert weights.tolist() == want_weights.tolist()
+
+
 def two_width_quadrature(f, lo, hi):
     """The fixed rule the panel bisection replaced, kept as its reference:
     composite 8-point Gauss-Legendre at panel widths 0.25 and 0.125, which
     must agree to 1e-9 relative."""
+    nodes, weights = core._gauss_legendre()[:2]
     sums = []
     for width in (0.25, 0.125):
         half = 0.5 * (hi - lo) / max(1, math.ceil((hi - lo) / width))
-        x = np.arange(lo + half, hi, 2.0 * half)[:, None] + half * core._GL_NODES
-        sums.append(half * float(np.sum(core._GL_WEIGHTS * f(x))))
+        x = np.arange(lo + half, hi, 2.0 * half)[:, None] + half * nodes
+        sums.append(half * float(np.sum(weights * f(x))))
     coarse, fine = sums
     assert abs(coarse - fine) <= 1e-9 * abs(fine)
     return fine
@@ -418,6 +426,13 @@ class TestExpectedMaxQuadrature:
         model = Lognormal(10.0, variance)
         assert model.expected_max(draws) == pytest.approx(
             lognormal_max_oracle(model, draws), rel=1e-9)
+
+    @pytest.mark.parametrize("mean, draws", [(1e300, 10 ** 15), (1e308, 2)])
+    def test_lognormal_past_the_float_range_of_g_times_mean(self, mean,
+                                                             draws):
+        # sigma ~ 1e-150 at variance 1e300: the maximum is the mean
+        assert Lognormal(mean, 1e300).expected_max(draws) == pytest.approx(
+            mean, rel=1e-9)
 
     @pytest.mark.parametrize("model, horizon", [
         (MarkovOU(10.0, 10.0, 0.1, 2.0), 30.0),
