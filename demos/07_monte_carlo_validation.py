@@ -32,7 +32,7 @@ for delay in (300.0, 600.0, 1200.0):
     env = EconomicEnvironment(3.0, 0.05, delay)
     profits, _, _ = commit_profit_samples(Scenario(env, Constant(10.0)), cfg)
     est = profit_estimate(profits, cfg.confidence)
-    print(f"  T={delay:6.0f} s: mean {est.mean:+7.3f} USD, "
+    print(f"  T={delay:6.0f} s: mean {est.value:+7.3f} USD, "
           f"99% CI [{est.confidence_interval[0]:+.3f}, "
           f"{est.confidence_interval[1]:+.3f}]")
 
@@ -43,7 +43,7 @@ env = EconomicEnvironment(3.0, 0.05, delay)
 tail = estimate_tail_probability(Scenario(env, Lognormal(10.0, 25.0)),
                                  delay, SimConfig(trials=500_000, seed=8))
 print(f"\nChebyshev check: at the epsilon-robust delay ({delay:.0f} s) the "
-      f"simulated\npositive-profit fraction is {tail.fraction:.2e} "
+      f"simulated\npositive-profit fraction is {tail.value:.2e} "
       f"(CI upper {tail.confidence_interval[1]:.2e}) <= {epsilon}")
 
 env = EconomicEnvironment(3.0, 0.05, 120.0)
@@ -54,10 +54,10 @@ values, policy = solve(scenario, GridSpec(time_step=1.0, reward_points=321,
 rollout = rollout_policy(policy, scenario, cfg)
 j0 = initial_value(values, DEFAULT_OU_REWARD.initial)
 print(f"\nPolicy rollout vs dynamic program (mean-reverting reward, "
-      f"T=120 s):\n  rollout mean {rollout.mean:.3f} USD in "
+      f"T=120 s):\n  rollout mean {rollout.value:.3f} USD in "
       f"[{rollout.confidence_interval[0]:.3f}, "
       f"{rollout.confidence_interval[1]:.3f}], solved J = {j0:.3f} USD")
 
 again = rollout_policy(policy, scenario, cfg)
 print(f"  rerun with the same seed reproduces the estimate exactly: "
-      f"{again.mean == rollout.mean}")
+      f"{again.value == rollout.value}")

@@ -180,20 +180,20 @@ def _cmd_simulate(args, scenario) -> int:
     profits, successes, stop_times = commit_profit_samples(
         scenario, cfg, delay=args.delay)
     estimate = profit_estimate(profits, cfg.confidence)
+    positive = float((profits > 0.0).mean())
     low, high = estimate.confidence_interval
     print(f"trials: {cfg.trials}, seed: {cfg.seed}")
-    print(f"mean profit: {_fmt(estimate.mean)} USD "
+    print(f"mean profit: {_fmt(estimate.value)} USD "
           f"(std error {_fmt(estimate.std_error)})")
     print(f"{_fmt(100 * cfg.confidence)}% CI: "
           f"[{_fmt(low)}, {_fmt(high)}] USD")
-    print(f"positive-profit fraction: "
-          f"{_fmt(estimate.positive_profit_fraction)}")
+    print(f"positive-profit fraction: {_fmt(positive)}")
     outputs = {"profit_estimate.json": _json({
-        "mean_USD": estimate.mean,
+        "mean_USD": estimate.value,
         "std_error_USD": estimate.std_error,
         "confidence": cfg.confidence,
         "confidence_interval_USD": list(estimate.confidence_interval),
-        "positive_profit_fraction": estimate.positive_profit_fraction,
+        "positive_profit_fraction": positive,
         "trials": cfg.trials,
     })}
     if args.csv:

@@ -35,7 +35,6 @@ from .core import MAX_PLAYERS, as_count
 
 __all__ = [
     "EquilibriumResult",
-    "attacker_payoff",
     "conditional_inverse_expectation",
     "equilibrium_attack_probability",
 ]
@@ -59,15 +58,6 @@ class EquilibriumResult:
     per_attacker_profit: float
     regime: str
     residual: float = 0.0
-
-
-def attacker_payoff(attackers: int, expected_reward: float, cost_rate: float,
-                    delay: float, speedup: float) -> float:
-    """Expected profit of one attacker when `attackers` attack in total:
-    expected_reward/attackers - cost_rate*delay/speedup."""
-    if attackers < 1:
-        raise ValueError(f"attackers must be >= 1 (got {attackers})")
-    return expected_reward / attackers - cost_rate * delay / speedup
 
 
 def _players(n) -> int:

@@ -20,24 +20,26 @@ from functools import partial
 from typing import TYPE_CHECKING
 
 from ._csv import write_csv
-from .core import MarkovOU, Scenario, as_count, validate_scenario
-from .equilibrium import _players
+from .core import (
+    MarkovOU,
+    Scenario,
+    as_count,
+    check_violations,
+    scaled_mean,
+    validate_scenario,
+)
 
 if TYPE_CHECKING:  # annotations only: numpy loads where arrays are made
     import numpy as np
 
 __all__ = [
     "SimConfig",
-    "ProfitEstimate",
-    "TailEstimate",
-    "MomentEstimate",
-    "ConditionalInverseEstimate",
+    "Estimate",
     "commit_profit_samples",
     "profit_estimate",
     "rollout_policy",
     "estimate_tail_probability",
     "grinding_max_oracle",
-    "equilibrium_empirical_check",
     "write_trials_csv",
 ]
 
@@ -64,12 +66,6 @@ class SimConfig:
         if not 0 <= self.seed < 2 ** 64:
             out.append(f"seed must be in [0, 2**64) (got {self.seed})")
         return out
-
-
-def _check_config(cfg: SimConfig) -> None:
-    violations = cfg.violations()
-    if violations:
-        raise ValueError("; ".join(violations))
 
 
 def _substream(seed: int, block: int) -> np.random.Generator:
@@ -100,15 +96,16 @@ def _per_block(cfg: SimConfig, draw) -> np.ndarray:
 
 
 def _mean_se(x: np.ndarray) -> tuple[float, float]:
-    """Sample mean and its standard error (0 for a single value). Both are
-    taken on x scaled by a power of two to |x| <= 1, which moves no bit of
-    either for a sample of normal floats but keeps the sum and the squares
-    finite when |x| nears the largest float."""
+    """Sample mean (:func:`core.scaled_mean`) and its standard error (0 for
+    a single value), the latter also taken on x scaled by a power of two to
+    |x| <= 1, so that the squares stay finite when |x| nears the largest
+    float."""
     import numpy as np
+    if x.size == 1:
+        return scaled_mean(x), 0.0
     exponent = math.frexp(float(np.max(np.abs(x))))[1]
-    x = np.ldexp(x, -exponent)
-    se = float(np.std(x, ddof=1) / math.sqrt(x.size)) if x.size > 1 else 0.0
-    return math.ldexp(float(np.mean(x)), exponent), math.ldexp(se, exponent)
+    se = float(np.std(np.ldexp(x, -exponent), ddof=1) / math.sqrt(x.size))
+    return scaled_mean(x), math.ldexp(se, exponent)
 
 
 def _z_value(confidence: float) -> float:
@@ -117,73 +114,44 @@ def _z_value(confidence: float) -> float:
 
 
 @dataclass(frozen=True)
-class ProfitEstimate:
-    """Sample statistics of per-trial profit (USD)."""
-
-    mean: float
-    std_error: float
-    confidence_interval: tuple[float, float]
-    positive_profit_fraction: float
-
-
-@dataclass(frozen=True)
-class TailEstimate:
-    """Estimated P[profit > 0] with a normal-approximation interval."""
-
-    fraction: float
-    std_error: float
-    confidence_interval: tuple[float, float]
-    trials: int
-
-
-@dataclass(frozen=True)
-class MomentEstimate:
-    """Monte Carlo estimate of a scalar expectation."""
+class Estimate:
+    """A Monte Carlo estimate from `trials` trials: its value, standard
+    error and normal-approximation confidence interval."""
 
     value: float
     std_error: float
+    confidence_interval: tuple[float, float]
     trials: int
 
 
-@dataclass(frozen=True)
-class ConditionalInverseEstimate:
-    """Empirical E[1/K | K >= 1]; `value` is None when every draw had K=0
-    (possible at tiny attack probabilities), flagged instead of crashing."""
-
-    value: float | None
-    std_error: float | None
-    effective_trials: int
-    requested_trials: int
-
-    @property
-    def insufficient_data(self) -> bool:
-        return self.value is None
-
-
-def profit_estimate(profits: np.ndarray, confidence: float) -> ProfitEstimate:
-    """Normal-approximation summary of a profit sample."""
+def profit_estimate(profits: np.ndarray, confidence: float) -> Estimate:
+    """Normal-approximation estimate of the mean of a sample: per-trial
+    profits (USD) for the commands, best-of-G rewards for the oracle."""
     import numpy as np
     profits = np.asarray(profits, dtype=float)
     mean, se = _mean_se(profits)
     half = _z_value(confidence) * se
-    return ProfitEstimate(
-        mean=mean,
-        std_error=se,
-        confidence_interval=(mean - half, mean + half),
-        positive_profit_fraction=float(np.mean(profits > 0.0)))
+    return Estimate(value=mean, std_error=se,
+                    confidence_interval=(mean - half, mean + half),
+                    trials=profits.size)
 
 
 def _commit_draw(scenario: Scenario, cfg: SimConfig, delay: float):
     """The commit attacker's reward, one draw per trial at the horizon
     `delay`, and its cost of computing for delay/speedup seconds. Checks
-    the scenario, then cfg, then the delay."""
+    the scenario, then cfg, then the delay, then that the cost is finite."""
     scenario = validate_scenario(scenario)
-    _check_config(cfg)
+    check_violations(cfg.violations())
     if not 0.0 < delay < math.inf:
         raise ValueError(f"delay must be finite and > 0 (got {delay})")
     env = scenario.env
+    cost = env.cost_rate * delay / env.speedup
+    if not cost < math.inf:
+        raise ValueError(
+            f"attack cost cost_rate*delay/speedup must be finite (got {cost}"
+            f" at delay {delay})")
     rewards = _per_block(cfg, partial(scenario.reward.sample, horizon=delay))
-    return rewards, env.cost_rate * delay / env.speedup
+    return rewards, cost
 
 
 def commit_profit_samples(scenario: Scenario, cfg: SimConfig,
@@ -207,7 +175,7 @@ def commit_profit_samples(scenario: Scenario, cfg: SimConfig,
 
 
 def rollout_policy(policy_grid, scenario: Scenario,
-                   cfg: SimConfig) -> ProfitEstimate:
+                   cfg: SimConfig) -> Estimate:
     """Simulate the adversary following a solved compute/idle policy on
     fresh reward paths and summarize the realized profit.
 
@@ -221,7 +189,7 @@ def rollout_policy(policy_grid, scenario: Scenario,
     place; any other layout is copied once into it.
     """
     import numpy as np
-    _check_config(cfg)
+    check_violations(cfg.violations())
     scenario = validate_scenario(scenario)
     if scenario != policy_grid.scenario:
         raise ValueError("policy grid was solved for a different scenario")
@@ -273,7 +241,7 @@ def rollout_policy(policy_grid, scenario: Scenario,
 
 
 def estimate_tail_probability(scenario: Scenario, delay: float,
-                              cfg: SimConfig) -> TailEstimate:
+                              cfg: SimConfig) -> Estimate:
     """Estimate P[V - cost_rate*delay/speedup > 0] by sampling terminal
     rewards; the empirical check of the moment-bound (Chebyshev) design
     rule. Requires a reward model with finite mean and variance."""
@@ -282,42 +250,22 @@ def estimate_tail_probability(scenario: Scenario, delay: float,
     fraction = int(np.count_nonzero(draws - cost > 0.0)) / cfg.trials
     se = math.sqrt(fraction * (1.0 - fraction) / cfg.trials)
     half = _z_value(cfg.confidence) * se
-    return TailEstimate(fraction=fraction, std_error=se,
-                        confidence_interval=(max(0.0, fraction - half),
-                                             min(1.0, fraction + half)),
-                        trials=cfg.trials)
+    return Estimate(value=fraction, std_error=se,
+                    confidence_interval=(max(0.0, fraction - half),
+                                         min(1.0, fraction + half)),
+                    trials=cfg.trials)
 
 
-def grinding_max_oracle(mean: float, draws: int, cfg: SimConfig) -> MomentEstimate:
+def grinding_max_oracle(mean: float, draws: int, cfg: SimConfig) -> Estimate:
     """Monte Carlo E[max of `draws` i.i.d. exponential(mean) rewards];
     independent check of the harmonic-number closed form."""
     if not 0.0 <= mean < math.inf:
         raise ValueError(f"mean must be finite and >= 0 (got {mean})")
     as_count(draws, "draws")
-    _check_config(cfg)
-    value, se = _mean_se(_per_block(
-        cfg, lambda rng, size: rng.exponential(mean, (size, draws)).max(axis=1)))
-    return MomentEstimate(value=value, std_error=se, trials=cfg.trials)
-
-
-def equilibrium_empirical_check(n: int, p: float,
-                                cfg: SimConfig) -> ConditionalInverseEstimate:
-    """Sample K ~ Binomial(n, p), discard K = 0, and average 1/K; Monte
-    Carlo oracle for the exact conditional expectation."""
-    n = _players(n)
-    if not 0.0 < p <= 1.0:
-        raise ValueError(f"p must be in (0, 1] (got {p})")
-    _check_config(cfg)
-    k = _per_block(cfg, lambda rng, size: rng.binomial(n, p, size))
-    inverses = 1.0 / k[k > 0]
-    if inverses.size == 0:
-        return ConditionalInverseEstimate(value=None, std_error=None,
-                                          effective_trials=0,
-                                          requested_trials=cfg.trials)
-    value, se = _mean_se(inverses)
-    return ConditionalInverseEstimate(value=value, std_error=se,
-                                      effective_trials=int(inverses.size),
-                                      requested_trials=cfg.trials)
+    check_violations(cfg.violations())
+    maxima = _per_block(
+        cfg, lambda rng, size: rng.exponential(mean, (size, draws)).max(axis=1))
+    return profit_estimate(maxima, cfg.confidence)
 
 
 def write_trials_csv(path, profits, successes, stop_times) -> None:

@@ -2,9 +2,9 @@
 
 Every security condition reduces, under the commit-or-don't attack model,
 to a delay bound of the shape T >= (speedup / effective_cost) * effective_reward.
-The functions here evaluate each bound exactly; :func:`esdp` runs every
-condition a scenario's modifiers activate and reports the binding maximum
-(the Economically Secure Delay Parameter).
+The functions here evaluate each bound exactly; :func:`esdp` calls the
+function of every condition a scenario's modifiers activate and reports
+the binding maximum (the Economically Secure Delay Parameter).
 
 A round with delay T is economically secure against the plain rational
 attacker iff T >= linear_threshold(...): expected profit of a full
@@ -21,6 +21,7 @@ from .core import (
     Exponential,
     Scenario,
     ThresholdReport,
+    check_violations,
     validate_scenario,
 )
 
@@ -82,11 +83,6 @@ class ParameterIntervals:
         return out
 
 
-def _check(violations: list[str]) -> None:
-    if violations:
-        raise ValueError("; ".join(violations))
-
-
 def _bound(speedup, cost_rate, reward, members=1, cost_factor=1.0,
            leverage=0.0):
     """speedup * members / (cost_rate * cost_factor) * reward / (1 - leverage),
@@ -122,7 +118,7 @@ def linear_threshold(speedup: float, cost_rate: float,
 def robust_interval_threshold(iv: ParameterIntervals) -> float:
     """Delay secure across every parameter vector inside the intervals:
     (speedup_max/cost_min)*reward_max."""
-    _check(iv.violations())
+    check_violations(iv.violations())
     return _bound(iv.speedup_max, iv.cost_min, iv.reward_max)
 
 
@@ -134,7 +130,7 @@ def epsilon_robust_threshold(iv: ParameterIntervals,
     a positive-profit attack attempt at epsilon per round, using only the
     moment bounds (reward_max in `iv` is not consulted).
     """
-    _check(iv.violations() + mb.violations())
+    check_violations(iv.violations() + mb.violations())
     return _bound(iv.speedup_max, iv.cost_min,
                   mb.mean_max + mb.std_max / math.sqrt(mb.epsilon))
 
@@ -260,32 +256,35 @@ def esdp(scenario: Scenario,
         raise ValueError(
             f"candidate_delay must be finite and >= 0 (got {candidate_delay})")
     s = validate_scenario(scenario)
-    env, reward, horizon = s.env, s.reward, s.env.honest_delay
-    rewards: dict[str, float] = {}
-    mean = lambda: rewards["linear"]  # E[V], evaluated once by that row
-    # name, active, effective reward, members, cost factor, leverage
+    speedup, cost, horizon = s.env.speedup, s.env.cost_rate, s.env.honest_delay
+    mean = math.nan  # E[V], set by the linear row, which runs first
+
+    def linear() -> float:
+        nonlocal mean
+        mean = s.reward.mean(horizon=horizon)
+        return linear_threshold(speedup, cost, mean)
+
     rows = (
-        ("linear", True, lambda: reward.mean(horizon=horizon), 1, 1.0, 0.0),
-        ("grinding", s.grinding_size > 1,
-         lambda: reward.expected_max(s.grinding_size, horizon=horizon),
-         1, float(s.grinding_size) ** s.grinding_cost_exponent, 0.0),
-        ("abort", s.abort_probability > 0.0, mean, 1, 1.0,
-         s.abort_probability),
-        ("coalition", s.coalition_size > 1, mean, float(s.coalition_size),
-         1.0, 0.0),
-        ("composition", bool(s.protocol_means),
-         lambda: _total(s.protocol_means), 1, 1.0, 0.0),
-        # i.i.d. rounds make max_k k*E[V]/k equal to E[V]
-        ("multiround", s.rounds > 1, mean, 1, 1.0, 0.0),
+        ("linear", True, linear),
+        ("grinding", s.grinding_size > 1, lambda: grinding_threshold(
+            speedup, cost, s.grinding_size,
+            s.reward.expected_max(s.grinding_size, horizon=horizon),
+            s.grinding_cost_exponent)),
+        ("abort", s.abort_probability > 0.0, lambda: abort_threshold(
+            speedup, cost, mean, s.abort_probability)),
+        ("coalition", s.coalition_size > 1, lambda: coalition_threshold(
+            speedup, cost, s.coalition_size, mean)),
+        ("composition", bool(s.protocol_means), lambda: composition_threshold(
+            speedup, cost, s.protocol_means)),
+        # i.i.d. rounds: the prefix means k*E[V] peak per round at k=1
+        ("multiround", s.rounds > 1, lambda: multiround_threshold(
+            speedup, cost, (mean,))),
     )
     required: dict[str, float] = {}
-    for name, active, effective_reward, members, cost_factor, leverage in rows:
+    for name, active, bound in rows:
         if active:
             try:
-                rewards[name] = effective_reward()
-                required[name] = _bound(env.speedup, env.cost_rate,
-                                        rewards[name], members, cost_factor,
-                                        leverage)
+                required[name] = bound()
             except Exception as exc:
                 raise ValueError(f"{name}: {exc}") from exc
 

@@ -266,6 +266,18 @@ class TestThresholdCommand:
         assert "grinding" in captured.out
         assert captured.err == ""
 
+    def test_empirical_samples_near_the_largest_float(self, tmp_path,
+                                                      capsys):
+        path = tmp_path / "empirical.scenario"
+        path.write_text("env.speedup = 1.0\nenv.cost_rate = 1e10\n"
+                        "env.honest_delay = 600\nreward.kind = empirical\n"
+                        "reward.samples = 1e308, 1e308\n")
+        assert main(["threshold", str(path), "--delay", "1e300"]) == 0
+        captured = capsys.readouterr()
+        assert "ESDP: 1e+298 s (binding: linear)" in captured.out
+        assert "verdict: SECURE" in captured.out
+        assert captured.err == ""
+
     def test_json_report_written(self, baseline_file, tmp_path, capsys):
         out_dir = tmp_path / "report"
         rc = main(["threshold", baseline_file, "--delay", "1000",
@@ -401,6 +413,17 @@ class TestSimulateCommand:
                             commit_profit_samples)
         assert main(["simulate", baseline_file, "--trials", "10"]) == 2
         assert capsys.readouterr().err == "error: out of memory\n"
+
+    def test_attack_cost_past_the_float_range_exits_two(self, tmp_path,
+                                                        capsys):
+        path = tmp_path / "costly.scenario"
+        path.write_text(BASELINE.replace("0.05", "1e10"))
+        assert main(["simulate", str(path), "--delay", "1e300",
+                     "--trials", "10"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: attack cost cost_rate*delay/speedup "
+                                "must be finite (got inf at delay 1e+300)\n")
 
     def test_csv_and_manifest_outputs(self, baseline_file, tmp_path):
         out_dir = tmp_path / "sim"

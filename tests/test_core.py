@@ -246,6 +246,18 @@ class TestRewardModels:
                                                       abs=3 * se)
         assert model.mean() == pytest.approx(12.0)
 
+    def test_empirical_mean_near_the_largest_float(self):
+        # the plain sum of two samples of 1e308 passes the float range
+        assert Empirical((1e308, 1e308)).mean() == 1e308
+        assert Empirical((1.5e308, 1.7e308, 0.0)).mean() == pytest.approx(
+            1.5e308 / 3.0 + 1.7e308 / 3.0, rel=1e-15)
+
+    @given(st.lists(st.one_of(st.just(0.0), st.floats(1e-100, 1e100)),
+                    min_size=1, max_size=40))
+    def test_empirical_mean_keeps_the_plain_mean_bits(self, samples):
+        # scaled to |x| <= 1, every sample stays a normal float
+        assert Empirical(tuple(samples)).mean() == float(np.mean(samples))
+
     def test_empirical_requires_samples(self):
         assert Empirical(()).violations()
 

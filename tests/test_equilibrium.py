@@ -10,7 +10,6 @@ from esdp import equilibrium
 from esdp.core import MAX_PLAYERS, Exponential, Scenario, validate_scenario
 from esdp.equilibrium import (
     EquilibriumResult,
-    attacker_payoff,
     conditional_inverse_expectation,
     equilibrium_attack_probability,
 )
@@ -86,25 +85,6 @@ def oracle_equilibrium(n, expected_reward, cost_rate, delay, speedup):
     p_star = 0.5 * (lo + hi)
     return EquilibriumResult(p_star, n * p_star, 0.0, "interior",
                              abs(gap(p_star)))
-
-
-class TestAttackerPayoff:
-    def test_solo_break_even(self):
-        assert attacker_payoff(1, 10.0, 0.05, 600.0, 3.0) == pytest.approx(
-            0.0, abs=1e-12)
-
-    def test_two_attackers_split_the_prize(self):
-        # E[V]/2 - cT/delta = 5 - 2.5
-        assert attacker_payoff(2, 10.0, 0.05, 150.0, 3.0) == pytest.approx(
-            2.5, rel=1e-12)
-
-    def test_crowded_attack_is_a_loss(self):
-        assert attacker_payoff(10, 10.0, 0.05, 600.0, 3.0) == pytest.approx(
-            -9.0, rel=1e-12)
-
-    def test_zero_attackers_rejected(self):
-        with pytest.raises(ValueError):
-            attacker_payoff(0, 10.0, 0.05, 600.0, 3.0)
 
 
 class TestConditionalInverseExpectation:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -11,13 +12,14 @@ from esdp.core import (
     Lognormal,
     MarkovOU,
     Scenario,
+    check_violations,
 )
-from esdp.equilibrium import conditional_inverse_expectation
+from esdp.equilibrium import _players, conditional_inverse_expectation
 from esdp.montecarlo import (
     SimConfig,
+    _mean_se,
     _per_block,
     commit_profit_samples,
-    equilibrium_empirical_check,
     estimate_tail_probability,
     grinding_max_oracle,
     profit_estimate,
@@ -84,10 +86,11 @@ class TestCommitProfits:
         rng = np.random.default_rng(0)
         samples = rng.normal(5.0, 2.0, 40_000)
         est = profit_estimate(samples, 0.99)
-        assert est.mean == pytest.approx(5.0, abs=0.05)
+        assert est.value == pytest.approx(5.0, abs=0.05)
         low, high = est.confidence_interval
-        assert low <= est.mean <= high
-        assert est.positive_profit_fraction == pytest.approx(0.9938, abs=0.01)
+        assert low <= est.value <= high
+        assert est.trials == samples.size
+        assert (samples > 0.0).mean() == pytest.approx(0.9938, abs=0.01)
 
     def test_profit_estimate_near_the_largest_float(self):
         # profits of -1e306 (a delay near 1e308) once squared to inf in the
@@ -95,7 +98,7 @@ class TestCommitProfits:
         rng = np.random.default_rng(0)
         samples = -1e306 * rng.uniform(1.0, 1.5, 100)
         est = profit_estimate(samples, 0.99)
-        assert est.mean == pytest.approx(-1.25e306, rel=0.1)
+        assert est.value == pytest.approx(-1.25e306, rel=0.1)
         assert 0.0 < est.std_error < 1e306
         assert all(math.isfinite(end) for end in est.confidence_interval)
         scaled = profit_estimate(samples / 1e300, 0.99)
@@ -108,19 +111,25 @@ class TestRollout:
         env = EconomicEnvironment(3.0, 0.05, 300.0)
         scenario = Scenario(env, Constant(10.0))
         vg, pg = solve(scenario, GridSpec(time_step=1.0, reward_points=101))
-        est = rollout_policy(pg, scenario, SimConfig(trials=2000, seed=21))
+        cfg = SimConfig(trials=2000, seed=21)
+        est = rollout_policy(pg, scenario, cfg)
         # zero-variance trials: allow only float accumulation noise
-        assert est.mean == pytest.approx(initial_value(vg, 10.0), abs=1e-9)
+        assert est.value == pytest.approx(initial_value(vg, 10.0), abs=1e-9)
         assert est.std_error <= 1e-15
-        assert est.positive_profit_fraction == 1.0
+        profits = rollout_oracle_profits(pg, scenario, cfg)
+        assert est == profit_estimate(profits, cfg.confidence)
+        assert (profits > 0.0).all()
 
     def test_constant_unprofitable_delay_never_computes(self):
         env = EconomicEnvironment(3.0, 0.05, 1200.0)
         scenario = Scenario(env, Constant(10.0))
         _, pg = solve(scenario, GridSpec(time_step=2.0, reward_points=51))
-        est = rollout_policy(pg, scenario, SimConfig(trials=500, seed=2))
-        assert est.mean == 0.0
-        assert est.positive_profit_fraction == 0.0
+        cfg = SimConfig(trials=500, seed=2)
+        est = rollout_policy(pg, scenario, cfg)
+        assert est.value == 0.0
+        profits = rollout_oracle_profits(pg, scenario, cfg)
+        assert est == profit_estimate(profits, cfg.confidence)
+        assert not (profits > 0.0).any()
 
     def test_ou_agreement_with_dp(self):
         env = EconomicEnvironment(3.0, 0.05, 120.0)
@@ -139,7 +148,7 @@ class TestRollout:
                                          reward_max=32.0))
         est = rollout_policy(pg, scenario, SimConfig(trials=5000, seed=5))
         worst = env.cost_rate * env.honest_delay / env.speedup
-        assert est.mean >= -worst - 1e-9
+        assert est.value >= -worst - 1e-9
 
     def test_scenario_mismatch_rejected(self, baseline_scenario):
         vg, pg = solve(baseline_scenario, GridSpec(time_step=5.0,
@@ -149,7 +158,7 @@ class TestRollout:
             rollout_policy(pg, other, SimConfig(trials=10))
 
 
-def rollout_oracle(pg, scenario, cfg):
+def rollout_oracle_profits(pg, scenario, cfg):
     """The rollout loop as first written: a fancy-indexed gather from the
     (work, reward, time) policy and masked cost and reward updates."""
     model = scenario.reward
@@ -181,7 +190,12 @@ def rollout_oracle(pg, scenario, cfg):
             running &= ~finished
         return reward - cost
 
-    return profit_estimate(_per_block(cfg, profits), cfg.confidence)
+    return _per_block(cfg, profits)
+
+
+def rollout_oracle(pg, scenario, cfg):
+    return profit_estimate(rollout_oracle_profits(pg, scenario, cfg),
+                           cfg.confidence)
 
 
 ROLLOUT_CASES = {
@@ -239,21 +253,22 @@ class TestRolloutBits:
                                          reward_max=60.0))
         pg.compute = np.ones_like(pg.compute)
         cfg = SimConfig(trials=500, seed=9)
-        est = rollout_policy(pg, scenario, cfg)
-        assert est == rollout_oracle(pg, scenario, cfg)
-        assert (est.positive_profit_fraction == 0.0) == (speedup == 1.0)
+        profits = rollout_oracle_profits(pg, scenario, cfg)
+        assert rollout_policy(pg, scenario, cfg) == \
+            profit_estimate(profits, cfg.confidence)
+        assert (not (profits > 0.0).any()) == (speedup == 1.0)
 
 
 class TestTailProbability:
     def test_break_even_profit_never_positive(self, baseline_scenario):
         est = estimate_tail_probability(baseline_scenario, 600.0,
                                         SimConfig(trials=5000, seed=1))
-        assert est.fraction == 0.0
+        assert est.value == 0.0
 
     def test_just_below_break_even_always_positive(self, baseline_scenario):
         est = estimate_tail_probability(baseline_scenario, 599.0,
                                         SimConfig(trials=5000, seed=1))
-        assert est.fraction == 1.0
+        assert est.value == 1.0
 
     def test_chebyshev_guarantee_lognormal(self, baseline_env):
         epsilon = 0.01
@@ -273,6 +288,41 @@ class TestTailProbability:
         with pytest.raises(ValueError, match="delay must be finite and > 0"):
             estimate_tail_probability(Scenario(baseline_env, reward), delay,
                                       SimConfig(trials=100, seed=1))
+
+
+@dataclass(frozen=True)
+class ConditionalInverseEstimate:
+    """Empirical E[1/K | K >= 1]; `value` is None when every draw had K=0
+    (possible at tiny attack probabilities), flagged instead of crashing."""
+
+    value: float | None
+    std_error: float | None
+    effective_trials: int
+    requested_trials: int
+
+    @property
+    def insufficient_data(self) -> bool:
+        return self.value is None
+
+
+def equilibrium_empirical_check(n: int, p: float,
+                                cfg: SimConfig) -> ConditionalInverseEstimate:
+    """Sample K ~ Binomial(n, p), discard K = 0, and average 1/K; Monte
+    Carlo oracle for the exact conditional expectation."""
+    n = _players(n)
+    if not 0.0 < p <= 1.0:
+        raise ValueError(f"p must be in (0, 1] (got {p})")
+    check_violations(cfg.violations())
+    k = _per_block(cfg, lambda rng, size: rng.binomial(n, p, size))
+    inverses = 1.0 / k[k > 0]
+    if inverses.size == 0:
+        return ConditionalInverseEstimate(value=None, std_error=None,
+                                          effective_trials=0,
+                                          requested_trials=cfg.trials)
+    value, se = _mean_se(inverses)
+    return ConditionalInverseEstimate(value=value, std_error=se,
+                                      effective_trials=int(inverses.size),
+                                      requested_trials=cfg.trials)
 
 
 class TestOracles:

@@ -458,3 +458,11 @@ class TestReportAggregation:
         scenario = Scenario(baseline_env, Broken(), grinding_size=3)
         with pytest.raises(ValueError, match="grinding:"):
             esdp(scenario)
+
+        class NoMean(Broken):
+            def mean(self, horizon=None):
+                raise RuntimeWarning("overflow encountered in reduce")
+
+        scenario = Scenario(baseline_env, NoMean(), abort_probability=0.5)
+        with pytest.raises(ValueError, match="^linear: overflow"):
+            esdp(scenario)
