@@ -50,21 +50,59 @@ _LARGEST_FLOAT = math.nextafter(math.inf, 0.0)
 
 
 def as_count(value, name: str, low: int = 1, cap=_LARGEST_FLOAT,
-             whole_floats: bool = False) -> int:
+             whole_floats: bool = False, out: list | None = None) -> int:
     """`value` as an int, if it is an integer in [low, cap], else a
-    ValueError naming `name`. Every count obeys this one rule: an int or a
-    numpy integer, an integer-valued float only where `whole_floats`, never
-    a bool. The default cap is the largest float, so that a count always
-    converts to a finite float; the bounds compare exactly, so a count of
-    any size is judged, never raising OverflowError."""
+    ValueError naming `name` (appended to the list `out` if one is given).
+    Every count obeys this one rule: an int or a numpy integer, an
+    integer-valued float only where `whole_floats`, never a bool. The
+    default cap is the largest float, so that a count always converts to a
+    finite float; the bounds compare exactly, never raising OverflowError."""
     whole = value
     if whole_floats and isinstance(value, float) and value.is_integer():
         whole = int(value)
     if isinstance(whole, bool) or not isinstance(
             whole, (int, numbers.Integral)) or not low <= whole <= cap:
-        raise ValueError(f"{name} must be an integer >= {low} and "
-                         f"<= {cap:.6g} (got {value!r})")
+        return _fail(f"{name} must be an integer >= {low} and "
+                     f"<= {cap:.6g} (got {value!r})", out)
     return int(whole)
+
+
+def in_range(value, name: str, low: float, high: float = math.inf,
+             ends: str = "[)", out: list | None = None,
+             must: str = "must be"):
+    """`value` unchanged, if it is a real number (never a bool) from `low`
+    to `high`, else a ValueError such as "speedup must be finite and >= 1
+    (got 0.5)" (appended to the list `out` if one is given). `ends` are the
+    brackets, "[)", "()", "[]" or "(]". nan lies in no interval, and an
+    open infinite end admits only finite values. The one real range rule."""
+    if (low <= value < high if ends == "[)" else
+            low < value < high if ends == "()" else
+            low <= value <= high if ends == "[]" else
+            low < value <= high) and value.__class__ is not bool:
+        return value
+    words = ["finite"] if high == math.inf and ends[1] == ")" else []
+    if high < math.inf:
+        words.append(f"in {ends[0]}{low:g}, {high:g}{ends[1]}")
+    elif low > -math.inf:
+        words.append(f"{'>=' if ends[0] == '[' else '>'} {low:g}")
+    return _fail(f"{name} {must} {' and '.join(words)} (got {value})", out)
+
+
+def all_in_range(values, name: str, low: float, high: float = math.inf,
+                 ends: str = "[)", out: list | None = None):
+    """`values` unchanged, if each passes :func:`in_range`, else the
+    ValueError of the first that fails ("`name` must all be ...")."""
+    for value in values:
+        if in_range(value, name, low, high, ends, out, "must all be") is None:
+            break  # one message for the sequence
+    return values
+
+
+def _fail(message: str, out: list | None) -> None:
+    """Raise `message` as a ValueError, or append it to `out` if given."""
+    if out is None:
+        raise ValueError(message)
+    out.append(message)
 
 
 def check_violations(violations: list[str]) -> None:
@@ -202,16 +240,10 @@ class EconomicEnvironment:
 
     def violations(self) -> list[str]:
         out = []
-        if not 1.0 <= self.speedup < math.inf:
-            out.append(f"speedup must be finite and >= 1 (got {self.speedup})")
-        if not 0.0 < self.cost_rate < math.inf:
-            out.append(
-                f"cost_rate must be finite and > 0 (got {self.cost_rate})")
-        if not 0.0 < self.honest_delay < math.inf:
-            out.append("honest_delay must be finite and > 0 "
-                       f"(got {self.honest_delay})")
-        if not math.isfinite(self.seed_time):
-            out.append(f"seed_time must be finite (got {self.seed_time})")
+        in_range(self.speedup, "speedup", 1.0, out=out)
+        in_range(self.cost_rate, "cost_rate", 0.0, ends="()", out=out)
+        in_range(self.honest_delay, "honest_delay", 0.0, ends="()", out=out)
+        in_range(self.seed_time, "seed_time", -math.inf, ends="()", out=out)
         return out
 
 
@@ -261,8 +293,9 @@ class Constant(RewardModel):
         return self.value
 
     def violations(self):
-        return [] if 0.0 <= self.value < math.inf else [
-            f"reward value must be finite and >= 0 (got {self.value})"]
+        out = []
+        in_range(self.value, "reward value", 0.0, out=out)
+        return out
 
 
 @dataclass(frozen=True)
@@ -282,8 +315,9 @@ class Exponential(RewardModel):
         return self.mean_value * harmonic_number(draws)
 
     def violations(self):
-        return [] if 0.0 <= self.mean_value < math.inf else [
-            f"reward mean must be finite and >= 0 (got {self.mean_value})"]
+        out = []
+        in_range(self.mean_value, "reward mean", 0.0, out=out)
+        return out
 
 
 @dataclass(frozen=True)
@@ -331,15 +365,12 @@ class Lognormal(RewardModel):
 
     def violations(self):
         out = []
-        if not 0.0 < self.mean_value < math.inf:
-            out.append("lognormal mean must be finite and > 0 "
-                       f"(got {self.mean_value})")
-        if not 0.0 < self.variance_value < math.inf:
-            out.append("lognormal variance must be finite and > 0 "
-                       f"(got {self.variance_value})")
-        if not out and not math.isfinite(self._underlying()[1]):
-            out.append("lognormal variance / mean^2 must be finite (got "
-                       f"{self.variance_value} / {self.mean_value}^2)")
+        in_range(self.mean_value, "lognormal mean", 0.0, ends="()", out=out)
+        in_range(self.variance_value, "lognormal variance", 0.0, ends="()",
+                 out=out)
+        if not out:  # each moment finite, their ratio perhaps not
+            in_range(self._underlying()[1], "lognormal variance / mean^2",
+                     -math.inf, ends="()", out=out)
         return out
 
 
@@ -371,8 +402,7 @@ class Empirical(RewardModel):
         out = []
         if len(self.samples) < 1:
             out.append("empirical reward requires at least one sample")
-        elif not all(0.0 <= x < math.inf for x in self.samples):
-            out.append("empirical samples must all be finite and >= 0")
+        all_in_range(self.samples, "empirical samples", 0.0, out=out)
         return out
 
 
@@ -396,8 +426,9 @@ class Bounded(RewardModel):
         return self.max_value
 
     def violations(self):
-        return [] if 0.0 <= self.max_value < math.inf else [
-            f"reward max must be finite and >= 0 (got {self.max_value})"]
+        out = []
+        in_range(self.max_value, "reward max", 0.0, out=out)
+        return out
 
 
 @dataclass(frozen=True)
@@ -432,9 +463,10 @@ class MarkovOU(RewardModel):
         return self.long_run_mean + (v - self.long_run_mean) * decay
 
     def transition_std(self, dt: float) -> float:
+        # 1 - exp(-2 kappa dt) would round to 0 below 2 kappa dt ~ 1e-16
         kappa = self.reversion_rate
         return self.volatility * math.sqrt(
-            (1.0 - math.exp(-2.0 * kappa * dt)) / (2.0 * kappa))
+            -math.expm1(-2.0 * kappa * dt) / (2.0 * kappa))
 
     def step(self, v, dt: float, rng):
         """Advance every reward in `v` by one exact transition over `dt`,
@@ -480,18 +512,11 @@ class MarkovOU(RewardModel):
 
     def violations(self):
         out = []
-        if not 0.0 <= self.initial < math.inf:
-            out.append(
-                f"initial reward must be finite and >= 0 (got {self.initial})")
-        if not 0.0 <= self.long_run_mean < math.inf:
-            out.append("long_run_mean must be finite and >= 0 "
-                       f"(got {self.long_run_mean})")
-        if not 0.0 < self.reversion_rate < math.inf:
-            out.append("reversion_rate must be finite and > 0 "
-                       f"(got {self.reversion_rate})")
-        if not 0.0 <= self.volatility < math.inf:
-            out.append(
-                f"volatility must be finite and >= 0 (got {self.volatility})")
+        in_range(self.initial, "initial reward", 0.0, out=out)
+        in_range(self.long_run_mean, "long_run_mean", 0.0, out=out)
+        in_range(self.reversion_rate, "reversion_rate", 0.0, ends="()",
+                 out=out)
+        in_range(self.volatility, "volatility", 0.0, out=out)
         return out
 
 
@@ -536,23 +561,15 @@ class ScenarioValidationError(ValueError):
 
 def scenario_violations(s: Scenario) -> list[str]:
     """All invariant violations in `s`, empty when the scenario is valid."""
-    out = s.env.violations()
-    out += s.reward.violations()
-    if not 0.0 <= s.abort_probability < 1.0:
-        out.append("abort_probability must be in [0, 1) "
-                   f"(got {s.abort_probability}); 1/(1-p) must stay finite")
-    if not all(0.0 <= m < math.inf for m in s.protocol_means):
-        out.append("protocol_means must all be finite and >= 0")
+    out = s.env.violations() + s.reward.violations()
+    in_range(s.abort_probability, "abort_probability", 0.0, 1.0, out=out)
+    all_in_range(s.protocol_means, "protocol_means", 0.0, out=out)
     for name, cap in (("grinding_size", _LARGEST_FLOAT),
                       ("coalition_size", _LARGEST_FLOAT),
                       ("players", MAX_PLAYERS), ("rounds", _LARGEST_FLOAT)):
-        try:
-            as_count(getattr(s, name), name, cap=cap, whole_floats=True)
-        except ValueError as exc:
-            out.append(str(exc))
-    if not 0.0 <= s.grinding_cost_exponent <= 1.0:
-        out.append("grinding_cost_exponent must be in [0, 1] "
-                   f"(got {s.grinding_cost_exponent})")
+        as_count(getattr(s, name), name, cap=cap, whole_floats=True, out=out)
+    in_range(s.grinding_cost_exponent, "grinding_cost_exponent", 0.0, 1.0,
+             "[]", out)
     return out
 
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import MAX_PLAYERS, as_count
+from .core import MAX_PLAYERS, as_count, in_range
 
 __all__ = [
     "EquilibriumResult",
@@ -72,9 +72,7 @@ def conditional_inverse_expectation(n: int, p: float) -> float:
     fixed p (more rivals dilute the prize).
     """
     n = _players(n)
-    if not 0.0 < p <= 1.0:
-        raise ValueError(
-            f"p must be in (0, 1] (got {p}); K >= 1 has probability 0 at p=0")
+    in_range(p, "p", 0.0, 1.0, "(]")  # K >= 1 has probability 0 at p = 0
     if n == 1:
         return 1.0  # K is identically 1 given K >= 1
     if p == 1.0:
@@ -114,15 +112,10 @@ def equilibrium_attack_probability(n: int, expected_reward: float,
     left at p*.
     """
     n = _players(n)
-    if not 0.0 <= expected_reward < math.inf:
-        raise ValueError(
-            f"expected_reward must be finite and >= 0 (got {expected_reward})")
-    if not 0.0 < cost_rate < math.inf:
-        raise ValueError(f"cost_rate must be finite and > 0 (got {cost_rate})")
-    if not 0.0 < delay < math.inf:
-        raise ValueError(f"delay must be finite and > 0 (got {delay})")
-    if not 1.0 <= speedup < math.inf:
-        raise ValueError(f"speedup must be finite and >= 1 (got {speedup})")
+    in_range(expected_reward, "expected_reward", 0.0)
+    in_range(cost_rate, "cost_rate", 0.0, ends="()")
+    in_range(delay, "delay", 0.0, ends="()")
+    in_range(speedup, "speedup", 1.0)
     cost = cost_rate * delay / speedup
 
     if expected_reward <= cost:

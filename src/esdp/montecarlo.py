@@ -25,6 +25,7 @@ from .core import (
     Scenario,
     as_count,
     check_violations,
+    in_range,
     scaled_mean,
     validate_scenario,
 )
@@ -57,14 +58,9 @@ class SimConfig:
 
     def violations(self) -> list[str]:
         out = []
-        try:
-            as_count(self.trials, "trials")
-        except ValueError as exc:
-            out.append(str(exc))
-        if not 0.0 < self.confidence < 1.0:
-            out.append(f"confidence must be in (0, 1) (got {self.confidence})")
-        if not 0 <= self.seed < 2 ** 64:
-            out.append(f"seed must be in [0, 2**64) (got {self.seed})")
+        as_count(self.trials, "trials", out=out)
+        in_range(self.confidence, "confidence", 0.0, 1.0, "()", out)
+        as_count(self.seed, "seed", 0, 2 ** 64 - 1, out=out)
         return out
 
 
@@ -142,8 +138,7 @@ def _commit_draw(scenario: Scenario, cfg: SimConfig, delay: float):
     the scenario, then cfg, then the delay, then that the cost is finite."""
     scenario = validate_scenario(scenario)
     check_violations(cfg.violations())
-    if not 0.0 < delay < math.inf:
-        raise ValueError(f"delay must be finite and > 0 (got {delay})")
+    in_range(delay, "delay", 0.0, ends="()")
     env = scenario.env
     cost = env.cost_rate * delay / env.speedup
     if not cost < math.inf:
@@ -259,8 +254,7 @@ def estimate_tail_probability(scenario: Scenario, delay: float,
 def grinding_max_oracle(mean: float, draws: int, cfg: SimConfig) -> Estimate:
     """Monte Carlo E[max of `draws` i.i.d. exponential(mean) rewards];
     independent check of the harmonic-number closed form."""
-    if not 0.0 <= mean < math.inf:
-        raise ValueError(f"mean must be finite and >= 0 (got {mean})")
+    in_range(mean, "mean", 0.0)
     as_count(draws, "draws")
     check_violations(cfg.violations())
     maxima = _per_block(

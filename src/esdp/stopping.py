@@ -47,7 +47,14 @@ if TYPE_CHECKING:  # annotations only: numpy loads where arrays are made
     import numpy as np
 
 from ._csv import write_csv
-from .core import Constant, MarkovOU, Scenario, validate_scenario
+from .core import (
+    Constant,
+    MarkovOU,
+    Scenario,
+    as_count,
+    in_range,
+    validate_scenario,
+)
 
 __all__ = [
     "GridSpec",
@@ -65,6 +72,9 @@ __all__ = [
 ]
 
 _REL_TOL = 1e-9
+# numpy's hermgauss loses its weights past about 370 nodes (they sum to 0
+# at 371 on numpy 2.4); 100 nodes integrate polynomials to degree 199
+_MAX_NODES = 100
 
 
 @dataclass(frozen=True)
@@ -192,14 +202,10 @@ def solve(scenario: Scenario, grid: GridSpec) -> tuple[ValueGrid, PolicyGrid]:
             "supported kinds: constant, markov_ou")
     env = scenario.env
     T, dt = env.honest_delay, grid.time_step
-    if not dt > 0.0:
-        raise ValueError(f"time_step must be > 0 (got {dt})")
-    if grid.reward_points < 2:
-        raise ValueError(
-            f"reward_points must be >= 2 (got {grid.reward_points})")
-    if grid.quadrature_nodes < 1:
-        raise ValueError(
-            f"quadrature_nodes must be >= 1 (got {grid.quadrature_nodes})")
+    in_range(dt, "time_step", 0.0, ends="()")
+    n_v = as_count(grid.reward_points, "reward_points", low=2)
+    nodes = as_count(grid.quadrature_nodes, "quadrature_nodes",
+                     cap=_MAX_NODES)
     n_steps = round(T / dt)
     if n_steps < 1 or abs(n_steps * dt - T) > _REL_TOL * max(T, 1.0):
         raise ValueError(
@@ -215,21 +221,18 @@ def solve(scenario: Scenario, grid: GridSpec) -> tuple[ValueGrid, PolicyGrid]:
 
     reward_max = grid.reward_max if grid.reward_max is not None \
         else _default_reward_max(model)
-    if not 0.0 <= reward_max < math.inf:
-        raise ValueError(
-            f"reward_max must be finite and >= 0 (got {reward_max})")
+    in_range(reward_max, "reward_max", 0.0)
     initial = model.mean()
     if initial > reward_max:
         raise ValueError(
             f"initial reward {initial} lies above reward_max {reward_max}")
-    v_values = np.linspace(0.0, reward_max, grid.reward_points)
+    v_values = np.linspace(0.0, reward_max, n_v)
     t_values = env.seed_time + dt * np.arange(n_steps + 1)
 
     if isinstance(model, MarkovOU):
-        kernel_t = _transition_matrix(model, v_values, dt,
-                                      grid.quadrature_nodes).T
+        kernel_t = _transition_matrix(model, v_values, dt, nodes).T
 
-    n_s, n_v, n_t = work_steps + 1, grid.reward_points, n_steps + 1
+    n_s, n_t = work_steps + 1, n_steps + 1
     J = np.zeros((n_t, n_s, n_v))
     policy = np.zeros((n_t, n_s, n_v), dtype=bool)
     J[:n_steps, work_steps, :] = v_values          # completed before reveal

@@ -21,7 +21,10 @@ from .core import (
     Exponential,
     Scenario,
     ThresholdReport,
+    all_in_range,
+    as_count,
     check_violations,
+    in_range,
     validate_scenario,
 )
 
@@ -54,12 +57,9 @@ class MomentBounds:
 
     def violations(self) -> list[str]:
         out = []
-        if not self.mean_max >= 0.0:
-            out.append(f"mean_max must be >= 0 (got {self.mean_max})")
-        if not self.std_max >= 0.0:
-            out.append(f"std_max must be >= 0 (got {self.std_max})")
-        if not 0.0 < self.epsilon <= 1.0:
-            out.append(f"epsilon must be in (0, 1] (got {self.epsilon})")
+        in_range(self.mean_max, "mean_max", 0.0, math.inf, "[]", out)
+        in_range(self.std_max, "std_max", 0.0, math.inf, "[]", out)
+        in_range(self.epsilon, "epsilon", 0.0, 1.0, "(]", out)
         return out
 
 
@@ -74,26 +74,29 @@ class ParameterIntervals:
 
     def violations(self) -> list[str]:
         out = []
-        if not self.speedup_max >= 1.0:
-            out.append(f"speedup_max must be >= 1 (got {self.speedup_max})")
-        if not self.cost_min > 0.0:
-            out.append(f"cost_min must be > 0 (got {self.cost_min})")
-        if not self.reward_max >= 0.0:
-            out.append(f"reward_max must be >= 0 (got {self.reward_max})")
+        in_range(self.speedup_max, "speedup_max", 1.0, out=out)
+        in_range(self.cost_min, "cost_min", 0.0, ends="()", out=out)
+        in_range(self.reward_max, "reward_max", 0.0, math.inf, "[]", out)
         return out
 
 
-def _bound(speedup, cost_rate, reward, members=1, cost_factor=1.0,
+def _bound(speedup, cost_rate, reward, name, members=1, cost_factor=1.0,
            leverage=0.0):
     """speedup * members / (cost_rate * cost_factor) * reward / (1 - leverage),
     the bound of every condition: a coalition of `members` shares the cost,
-    grinding scales it by `cost_factor`, selective abort amplifies the reward."""
+    grinding scales it by `cost_factor`, selective abort amplifies the reward.
+    It checks every helper's inputs: the reward, named `name`, may be +inf,
+    since a reward past the float range needs an infinite delay."""
+    in_range(speedup, "speedup", 1.0)
+    in_range(cost_rate, "cost_rate", 0.0, ends="()")
+    in_range(leverage, "abort_probability", 0.0, 1.0)
+    in_range(reward, name, 0.0, math.inf, "[]")
     return speedup * members / (cost_rate * cost_factor) * reward / (
         1.0 - leverage)
 
 
 def _total(values) -> float:
-    """Exact sum of nonnegative finite rewards; a sum past the float range
+    """Exact sum of nonnegative rewards; a sum past the float range
     is an infinite effective reward, which no finite delay secures."""
     try:
         return math.fsum(values)
@@ -105,6 +108,8 @@ def expected_profit(delay: float, speedup: float, cost_rate: float,
                     reward: float) -> float:
     """Expected profit of committing to a full evaluation:
     reward - cost_rate*delay/speedup (USD)."""
+    in_range(delay, "delay", 0.0)
+    _bound(speedup, cost_rate, reward, "reward")  # checks the others
     return reward - cost_rate * delay / speedup
 
 
@@ -112,14 +117,14 @@ def linear_threshold(speedup: float, cost_rate: float,
                      expected_reward: float) -> float:
     """Break-even delay (speedup/cost_rate)*E[V]; the round is secure for
     every delay at or above it and insecure strictly below."""
-    return _bound(speedup, cost_rate, expected_reward)
+    return _bound(speedup, cost_rate, expected_reward, "expected_reward")
 
 
 def robust_interval_threshold(iv: ParameterIntervals) -> float:
     """Delay secure across every parameter vector inside the intervals:
     (speedup_max/cost_min)*reward_max."""
     check_violations(iv.violations())
-    return _bound(iv.speedup_max, iv.cost_min, iv.reward_max)
+    return _bound(iv.speedup_max, iv.cost_min, iv.reward_max, "reward_max")
 
 
 def epsilon_robust_threshold(iv: ParameterIntervals,
@@ -132,7 +137,7 @@ def epsilon_robust_threshold(iv: ParameterIntervals,
     """
     check_violations(iv.violations() + mb.violations())
     return _bound(iv.speedup_max, iv.cost_min,
-                  mb.mean_max + mb.std_max / math.sqrt(mb.epsilon))
+                  mb.mean_max + mb.std_max / math.sqrt(mb.epsilon), "moments")
 
 
 def composition_threshold(speedup: float, cost_rate: float,
@@ -146,9 +151,8 @@ def composition_threshold(speedup: float, cost_rate: float,
     means = list(protocol_means)
     if not means:
         raise ValueError("protocol_means must be non-empty")
-    if any(not m >= 0.0 for m in means):
-        raise ValueError("protocol_means must all be >= 0")
-    return _bound(speedup, cost_rate, _total(means))
+    all_in_range(means, "protocol_means", 0.0, math.inf, "[]")
+    return _bound(speedup, cost_rate, _total(means), "protocol_means")
 
 
 def multiround_threshold(speedup: float, cost_rate: float,
@@ -162,13 +166,12 @@ def multiround_threshold(speedup: float, cost_rate: float,
     prefix = list(prefix_means)
     if not prefix:
         raise ValueError("prefix_means must be non-empty")
-    if any(not m >= 0.0 for m in prefix):
-        raise ValueError("prefix_means must all be >= 0")
+    all_in_range(prefix, "prefix_means", 0.0, math.inf, "[]")
     if any(b < a for a, b in zip(prefix, prefix[1:])):
         raise ValueError("prefix_means must be non-decreasing "
                          "(sums of nonnegative rewards cannot shrink)")
     per_round = max(p / k for k, p in enumerate(prefix, start=1))
-    return _bound(speedup, cost_rate, per_round)
+    return _bound(speedup, cost_rate, per_round, "prefix_means")
 
 
 def multiround_threshold_subsets(speedup: float, cost_rate: float,
@@ -181,11 +184,10 @@ def multiround_threshold_subsets(speedup: float, cost_rate: float,
     means = list(round_means)
     if not means:
         raise ValueError("round_means must be non-empty")
-    if any(not m >= 0.0 for m in means):
-        raise ValueError("round_means must all be >= 0")
+    all_in_range(means, "round_means", 0.0, math.inf, "[]")
     ordered = sorted(means, reverse=True)
     best = max(_total(ordered[:k]) / k for k in range(1, len(ordered) + 1))
-    return _bound(speedup, cost_rate, best)
+    return _bound(speedup, cost_rate, best, "round_means")
 
 
 def grinding_threshold(speedup: float, cost_rate: float, grinding_size: int,
@@ -199,32 +201,24 @@ def grinding_threshold(speedup: float, cost_rate: float, grinding_size: int,
     does only while E[V_max] outpaces the cost denominator, which is why
     reports carry the whole curve rather than a single monotone figure.
     """
-    if grinding_size < 1:
-        raise ValueError(f"grinding_size must be >= 1 (got {grinding_size})")
-    if not 0.0 <= cost_exponent <= 1.0:
-        raise ValueError(
-            f"cost_exponent must be in [0, 1] (got {cost_exponent})")
+    size = as_count(grinding_size, "grinding_size", whole_floats=True)
+    in_range(cost_exponent, "cost_exponent", 0.0, 1.0, "[]")
     return _bound(speedup, cost_rate, expected_max_reward,
-                  cost_factor=float(grinding_size) ** cost_exponent)
+                  "expected_max_reward",
+                  cost_factor=float(size) ** cost_exponent)
 
 
 def expected_max_exponential(mean: float, draws: int) -> float:
     """E[max of `draws` i.i.d. exponential rewards] = mean * H_draws."""
-    if not 0.0 <= mean < math.inf:
-        raise ValueError(f"mean must be finite and >= 0 (got {mean})")
-    if draws < 1:
-        raise ValueError(f"draws must be >= 1 (got {draws})")
-    return Exponential(mean).expected_max(draws)
+    in_range(mean, "mean", 0.0)
+    return Exponential(mean).expected_max(as_count(draws, "draws"))
 
 
 def abort_threshold(speedup: float, cost_rate: float, expected_reward: float,
                     abort_probability: float) -> float:
     """Delay bound under selective abort: suppressing unfavorable outputs
     with leverage probability p amplifies the reward to E[V]/(1-p)."""
-    if not 0.0 <= abort_probability < 1.0:
-        raise ValueError("abort_probability must be in [0, 1) "
-                         f"(got {abort_probability})")
-    return _bound(speedup, cost_rate, expected_reward,
+    return _bound(speedup, cost_rate, expected_reward, "expected_reward",
                   leverage=abort_probability)
 
 
@@ -232,11 +226,9 @@ def coalition_threshold(speedup: float, cost_rate: float, coalition_size: int,
                         expected_reward: float) -> float:
     """Delay bound against a cost-sharing coalition of `coalition_size`
     members: each pays cost_rate/m, so the bound scales by m."""
-    if coalition_size < 1:
-        raise ValueError(
-            f"coalition_size must be >= 1 (got {coalition_size})")
-    return _bound(speedup, cost_rate, expected_reward,
-                  members=float(coalition_size))
+    members = as_count(coalition_size, "coalition_size", whole_floats=True)
+    return _bound(speedup, cost_rate, expected_reward, "expected_reward",
+                  members=float(members))
 
 
 def esdp(scenario: Scenario,
@@ -252,9 +244,8 @@ def esdp(scenario: Scenario,
     `candidate_delay` given, the verdict is secure iff the candidate is at
     or above the ESDP (secure at exact equality).
     """
-    if candidate_delay is not None and not 0.0 <= candidate_delay < math.inf:
-        raise ValueError(
-            f"candidate_delay must be finite and >= 0 (got {candidate_delay})")
+    if candidate_delay is not None:
+        in_range(candidate_delay, "candidate_delay", 0.0)
     s = validate_scenario(scenario)
     speedup, cost, horizon = s.env.speedup, s.env.cost_rate, s.env.honest_delay
     mean = math.nan  # E[V], set by the linear row, which runs first

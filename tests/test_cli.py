@@ -1,9 +1,11 @@
 import contextlib
 import io
 import json
+import re
 import subprocess
 import sys
 import time
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -42,6 +44,18 @@ reward.long_run_mean = 12.0
 reward.reversion_rate = 0.1
 reward.volatility = 2.0
 """
+
+# reverts so slowly that 1 - exp(-2 kappa dt) rounds to 0: the transition
+# std is 2 sqrt(dt), about 48.99 USD at 600 s
+SLOW_OU = BASELINE.replace("""reward.kind = exponential
+reward.mean = 10.0
+""", """reward.kind = markov_ou
+reward.initial = 10.0
+reward.long_run_mean = 10.0
+reward.reversion_rate = 1e-20
+reward.volatility = 2.0
+grinding_size = 8
+""")
 
 # one run per subcommand that writes files: scenario text (the file goes in
 # after the subcommand), the rest of the argv, and the exit code
@@ -215,6 +229,18 @@ class TestThresholdCommand:
         assert name in err
         assert "Traceback" not in err
 
+    def test_slowly_reverting_ou_grinding_is_insecure(self, tmp_path,
+                                                      capsys):
+        path = tmp_path / "slow_ou.scenario"
+        path.write_text(SLOW_OU)
+        assert main(["threshold", str(path), "--delay", "650"]) == 3
+        assert capsys.readouterr().out == (
+            "condition  required delay (s)\n"
+            "linear    600\n"
+            "grinding  668.665\n"
+            "ESDP: 668.665 s (binding: grinding)\n"
+            "verdict: INSECURE at delay 650 s\n")
+
     def test_unconverged_quadrature_exits_two(self, tmp_path, monkeypatch,
                                               capsys):
         monkeypatch.setattr(core, "_MAX_SPLITS", 0)
@@ -352,6 +378,25 @@ class TestSolveCommand:
         assert "INSECURE" in out
         assert "J(delay=300" in out
 
+    @pytest.mark.parametrize("nodes, code", [("400", 2), ("100", 3)])
+    def test_quadrature_nodes_are_capped(self, tmp_path, nodes, code,
+                                         capsys):
+        # numpy's Gauss-Hermite weights sum to 0 at 371 nodes, which
+        # printed J = nan; the cap stops the count first
+        path = tmp_path / "ou.scenario"
+        path.write_text(OU_300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["solve", str(path), "--dt", "20", "--vpoints", "21",
+                       "--nodes", nodes, "--out", str(tmp_path / "o")])
+        captured = capsys.readouterr()
+        assert rc == code
+        if code == 2:
+            assert captured.err == ("error: quadrature_nodes must be an "
+                                    "integer >= 1 and <= 100 (got 400)\n")
+        else:
+            assert "nan" not in captured.out
+
     def test_distribution_model_unsupported(self, baseline_file, tmp_path,
                                             capsys):
         rc = main(["solve", baseline_file, "--out", str(tmp_path / "x")])
@@ -400,9 +445,20 @@ class TestSimulateCommand:
                      "--seed", str(seed)]) == code
         captured = capsys.readouterr()
         if code == 2:
-            assert "seed must be in [0, 2**64)" in captured.err
+            assert "seed must be an integer >= 0 and <= 1.84467e+19 " \
+                f"(got {seed})" in captured.err
         else:
             assert f"seed: {seed}" in captured.out
+
+    def test_slowly_reverting_ou_draws_spread(self, tmp_path, capsys):
+        path = tmp_path / "slow_ou.scenario"
+        path.write_text(SLOW_OU)
+        assert main(["simulate", str(path), "--trials", "400",
+                     "--delay", "400"]) == 0
+        out = capsys.readouterr().out
+        # each draw spreads by about 2 sqrt(400) = 40 USD
+        std_error = float(re.search(r"std error ([^)]+)\)", out).group(1))
+        assert 1.0 < std_error < 3.0
 
     def test_unallocatable_trial_count_exits_two(self, baseline_file,
                                                  monkeypatch, capsys):

@@ -275,6 +275,13 @@ class TestRewardModels:
         assert model.transition_std(dt) ** 2 == pytest.approx(expected_var)
         assert model.stationary_std() == pytest.approx(2.0 / math.sqrt(0.2))
 
+    @pytest.mark.parametrize("kappa", [1e-15, 1e-20, 1e-300])
+    def test_markov_ou_slow_reversion_keeps_the_brownian_std(self, kappa):
+        # 1 - exp(-2 kappa dt) rounds to 0 (or loses digits) here
+        model = MarkovOU(10.0, 10.0, kappa, 2.0)
+        assert model.transition_std(600.0) == pytest.approx(
+            2.0 * math.sqrt(600.0), rel=1e-12)
+
     def test_markov_ou_steps_reach_the_transition_moments(self):
         # 40 steps of 0.05 s, as a rollout steps at the DP's dt, against
         # the one exact transition over 2 s

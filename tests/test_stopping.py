@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from esdp import stopping
 from esdp.core import (
     Constant,
     DEFAULT_OU_REWARD,
@@ -347,6 +348,11 @@ class TestInputChecks:
         vg, _ = solve(Scenario(baseline_env, model),
                       GridSpec(time_step=10.0, reward_points=21))
         assert vg.v_values[-1] == 10.0 * scaled + 5.0 * model.stationary_std()
+
+    def test_node_cap_keeps_the_hermite_rule_sound(self):
+        x, w = np.polynomial.hermite.hermgauss(stopping._MAX_NODES)
+        assert np.all(np.isfinite(x)) and np.all(w >= 0.0)
+        assert math.fsum(w) == pytest.approx(math.sqrt(math.pi), rel=1e-12)
 
     def test_invalid_scenario_rejected(self):
         env = EconomicEnvironment(0.5, 0.05, 600.0)
