@@ -1,7 +1,7 @@
 """Preset numeric studies: four worked settings with pinned headline numbers.
 
-Each generator returns plain tabular data over the thresholds module; the
-command-line layer owns all rendering so figures and CSV stay consistent.
+Each study owns its numbers and chart labels; the command-line layer draws
+the chart. `CASE_STUDIES` maps each id to its generator.
 Baseline economics for studies 1-3: a factor-3 hardware speedup rented at
 0.05 USD per second of adversarial running time.
 """
@@ -25,7 +25,7 @@ __all__ = [
     "case3_grinding_curve",
     "case4_ethereum",
     "case_study",
-    "CASE_STUDY_IDS",
+    "CASE_STUDIES",
 ]
 
 BASELINE_SPEEDUP = 3.0
@@ -35,14 +35,17 @@ BASELINE_COST_RATE = 0.05  # USD/s
 @dataclass(frozen=True)
 class CaseStudyOutput:
     """One study: rows sorted by the first column, labeled headline numbers,
-    and a unit per column."""
+    a unit per column, and its chart's axis labels and x scale."""
 
     name: str
     column_names: tuple[str, ...]
     column_units: tuple[str, ...]
     rows: tuple[tuple[float, ...], ...]
     headlines: tuple[tuple[str, float, str], ...]
+    x_label: str
+    y_label: str
     notes: tuple[str, ...] = field(default=())
+    x_log2: bool = False
 
     def header(self) -> list[str]:
         return [f"{name}({unit})"
@@ -92,6 +95,7 @@ def case1_profit_curves(delays=None) -> CaseStudyOutput:
         column_units=("s",) + ("USD",) * len(levels),
         rows=_sorted_rows(rows),
         headlines=headlines,
+        x_label="delay (s)", y_label="expected profit (USD)",
         notes=("economically secure region: profit <= 0; "
                "a few seconds of delay sits deep in the profitable zone "
                "once rewards reach tens of USD",))
@@ -113,6 +117,7 @@ def case2_delay_curve(reward_bounds=None) -> CaseStudyOutput:
         headlines=(("required_delay_reward_bound_100USD",
                     linear_threshold(BASELINE_SPEEDUP, BASELINE_COST_RATE,
                                      100.0), "s"),),
+        x_label="reward bound (USD)", y_label="required delay (s)",
         notes=("capping the value at risk is the lever that keeps delays "
                "practical",))
 
@@ -145,6 +150,7 @@ def case3_grinding_curve(grinding_sizes=None) -> CaseStudyOutput:
             ("peak_grinding_size", peak[0], "count"),
             ("peak_required_delay", peak[1], "s"),
         ),
+        x_label="grinding size", y_label="required delay (s)", x_log2=True,
         notes=("the curve is non-monotone in G: the harmonic growth of the "
                "best-of-G reward is eventually outpaced by the sqrt(G) cost "
                "scaling, so the binding G is small rather than maximal",))
@@ -167,6 +173,7 @@ def case4_ethereum() -> CaseStudyOutput:
         column_units=("USD", "s"),
         rows=_sorted_rows(rows),
         headlines=tuple(headlines),
+        x_label="expected MEV (USD)", y_label="required delay (s)",
         notes=("cost rate 0.00046 USD/s is the rounded cloud-FPGA hourly "
                "price (1.65/3600 = 0.00045833... USD/s); the rounded figure "
                "is kept so the headline delays match the published ones",
@@ -175,14 +182,13 @@ def case4_ethereum() -> CaseStudyOutput:
                "manipulation here"))
 
 
-CASE_STUDY_IDS = (1, 2, 3, 4)
+CASE_STUDIES = {1: case1_profit_curves, 2: case2_delay_curve,
+                3: case3_grinding_curve, 4: case4_ethereum}
 
 
 def case_study(case_id: int) -> CaseStudyOutput:
     """Dispatch a study by numeric id (1-4)."""
-    generators = {1: case1_profit_curves, 2: case2_delay_curve,
-                  3: case3_grinding_curve, 4: case4_ethereum}
-    if case_id not in generators:
+    if case_id not in CASE_STUDIES:
         raise ValueError(f"unknown case study id {case_id}; "
-                         f"valid ids: {sorted(generators)}")
-    return generators[case_id]()
+                         f"valid ids: {sorted(CASE_STUDIES)}")
+    return CASE_STUDIES[case_id]()

@@ -24,7 +24,7 @@ import sys
 from dataclasses import asdict, replace
 
 from . import __version__
-from .casestudies import CASE_STUDY_IDS, case_study
+from .casestudies import CASE_STUDIES, case_study
 from .core import validate_scenario
 from .equilibrium import equilibrium_attack_probability
 from .montecarlo import (
@@ -43,7 +43,6 @@ from .stopping import (
     GridSpec,
     extract_decision_boundary,
     initial_security_verdict,
-    initial_value,
     solve,
     write_boundary_csv,
     write_grid_csv,
@@ -155,13 +154,11 @@ def _cmd_solve(args, scenario) -> int:
     grid = GridSpec(time_step=dt, reward_points=args.vpoints,
                     reward_max=args.vmax, quadrature_nodes=args.nodes)
     value_grid, policy_grid = solve(scenario, grid)
-    v0 = scenario.reward.mean()
-    j0 = initial_value(value_grid, v0)
     verdict = initial_security_verdict(value_grid)
-    secure = j0 <= verdict.tolerance
-    print(f"J(delay={_fmt(delay)} s, reward={_fmt(v0)} USD, seed time) = "
-          f"{_fmt(j0)} USD (tolerance {_fmt(verdict.tolerance)})")
-    print(f"verdict: {'SECURE' if secure else 'INSECURE'}")
+    print(f"J(delay={_fmt(delay)} s, reward={_fmt(scenario.reward.mean())} "
+          f"USD, seed time) = {_fmt(verdict.initial_value)} USD "
+          f"(tolerance {_fmt(verdict.tolerance)})")
+    print(f"verdict: {'SECURE' if verdict.secure else 'INSECURE'}")
     if verdict.flip_reward is not None:
         print(f"smallest insecure grid reward: {_fmt(verdict.flip_reward)} USD")
 
@@ -172,7 +169,7 @@ def _cmd_solve(args, scenario) -> int:
         "boundary.csv": lambda path: write_boundary_csv(
             boundary, policy_grid.s_values, policy_grid.t_values, path),
     }, scenario=scenario, grid=asdict(grid))
-    return EXIT_OK if secure else EXIT_INSECURE
+    return EXIT_OK if verdict.secure else EXIT_INSECURE
 
 
 def _cmd_simulate(args, scenario) -> int:
@@ -205,15 +202,6 @@ def _cmd_simulate(args, scenario) -> int:
     return EXIT_OK
 
 
-_CASE_CHART = {
-    1: {"x_label": "delay (s)", "y_label": "expected profit (USD)"},
-    2: {"x_label": "reward bound (USD)", "y_label": "required delay (s)"},
-    3: {"x_label": "grinding size", "y_label": "required delay (s)",
-        "x_log2": True},
-    4: {"x_label": "expected MEV (USD)", "y_label": "required delay (s)"},
-}
-
-
 def _cmd_casestudy(args, _) -> int:
     output = case_study(args.id)
     for label, value, unit in output.headlines:
@@ -228,10 +216,8 @@ def _cmd_casestudy(args, _) -> int:
                   in enumerate(zip(output.column_names[1:],
                                    output.column_units[1:]))]
         outputs[f"{base}.svg"] = render_line_chart(
-            series, title=output.name,
-            x_label=_CASE_CHART[args.id]["x_label"],
-            y_label=_CASE_CHART[args.id]["y_label"],
-            x_log2=_CASE_CHART[args.id].get("x_log2", False))
+            series, title=output.name, x_label=output.x_label,
+            y_label=output.y_label, x_log2=output.x_log2)
     _save(args, outputs)
     return EXIT_OK
 
@@ -284,11 +270,13 @@ def _build_parser() -> argparse.ArgumentParser:
     solve_cmd.add_argument("scenario")
     solve_cmd.add_argument("--dt", type=float, default=None,
                            help="time step (s); default honest_delay/120")
-    solve_cmd.add_argument("--vpoints", type=int, default=101,
+    solve_cmd.add_argument("--vpoints", type=int,
+                           default=GridSpec.reward_points,
                            help="reward grid points")
     solve_cmd.add_argument("--vmax", type=float, default=None,
                            help="reward axis truncation (USD)")
-    solve_cmd.add_argument("--nodes", type=int, default=7,
+    solve_cmd.add_argument("--nodes", type=int,
+                           default=GridSpec.quadrature_nodes,
                            help="quadrature nodes for reward transitions")
     solve_cmd.add_argument("--out", default=".",
                            help="directory for grid/boundary CSV (default .)")
@@ -309,7 +297,7 @@ def _build_parser() -> argparse.ArgumentParser:
     casestudy = sub.add_parser(
         "casestudy", help="regenerate a preset case study")
     casestudy.add_argument("--id", type=int, required=True,
-                           choices=CASE_STUDY_IDS)
+                           choices=CASE_STUDIES)
     casestudy.add_argument("--out", default=".",
                            help="output directory (default .)")
     casestudy.add_argument("--svg", action="store_true",

@@ -62,8 +62,11 @@ def as_count(value, name: str, low: int = 1, cap=_LARGEST_FLOAT,
         whole = int(value)
     if isinstance(whole, bool) or not isinstance(
             whole, (int, numbers.Integral)) or not low <= whole <= cap:
+        shown = f"{cap:.6g}"
+        if isinstance(cap, int) and float(shown) != cap:
+            shown = str(cap)  # an int cap that 6 digits would misstate
         return _fail(f"{name} must be an integer >= {low} and "
-                     f"<= {cap:.6g} (got {value!r})", out)
+                     f"<= {shown} (got {value!r})", out)
     return int(whole)
 
 

@@ -120,16 +120,15 @@ class PolicyGrid:
 
 @dataclass(frozen=True)
 class InitialSecurityVerdict:
-    """Per-initial-reward verdict at the decision state (s = honest delay,
-    t = seed time): secure where J stays within one time step of cost.
-    flip_reward is the smallest grid reward judged insecure (None when the
-    whole axis is secure)."""
+    """Verdict at the decision state (s = honest delay, t = seed time) for
+    the scenario's initial reward: secure when J there (`initial_value`) is
+    within `tolerance`, one time step of cost. flip_reward is the smallest
+    grid reward judged insecure (None when the whole axis is secure)."""
 
-    reward_values: np.ndarray
-    initial_values: np.ndarray
-    secure: np.ndarray
-    flip_reward: float | None
+    initial_value: float
     tolerance: float
+    secure: bool
+    flip_reward: float | None
 
 
 @dataclass(frozen=True)
@@ -266,21 +265,19 @@ def initial_value(vg: ValueGrid, reward: float) -> float:
 
 
 def initial_security_verdict(vg: ValueGrid) -> InitialSecurityVerdict:
-    """Secure/insecure per initial reward level, with tolerance of one time
-    step of compute cost (the discretization floor of the solved J)."""
+    """The verdict at the scenario's initial reward, with tolerance of one
+    time step of compute cost (the discretization floor of the solved J).
+    This is the one place the dynamic verdict's tolerance rule lives."""
     import numpy as np
     tolerance = vg.scenario.env.cost_rate * vg.spec.time_step
-    initial_values = vg.values[0, :, 0].copy()
-    secure = initial_values <= tolerance
+    j0 = initial_value(vg, vg.scenario.reward.mean())
+    secure = vg.values[0, :, 0] <= tolerance
     if secure.all():
         flip = None
     else:
         flip = float(vg.v_values[int(np.argmax(~secure))])
-    return InitialSecurityVerdict(reward_values=vg.v_values.copy(),
-                                  initial_values=initial_values,
-                                  secure=secure,
-                                  flip_reward=flip,
-                                  tolerance=tolerance)
+    return InitialSecurityVerdict(initial_value=j0, tolerance=tolerance,
+                                  secure=j0 <= tolerance, flip_reward=flip)
 
 
 def _first_compute(compute: np.ndarray) -> tuple[np.ndarray, int]:

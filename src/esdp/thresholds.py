@@ -37,7 +37,6 @@ __all__ = [
     "epsilon_robust_threshold",
     "composition_threshold",
     "multiround_threshold",
-    "multiround_threshold_subsets",
     "grinding_threshold",
     "expected_max_exponential",
     "abort_threshold",
@@ -161,7 +160,8 @@ def multiround_threshold(speedup: float, cost_rate: float,
 
     prefix_means[k-1] must be E[V_1 + ... + V_k]; the bound is
     (speedup/cost_rate) * max_k prefix_means[k-1] / k. For i.i.d. rounds the
-    maximum sits at k=1 and the bound equals the single-round one.
+    maximum sits at k=1 and the bound equals the single-round one. Against
+    an attacker who picks the rounds, pass the sums of the k largest means.
     """
     prefix = list(prefix_means)
     if not prefix:
@@ -172,22 +172,6 @@ def multiround_threshold(speedup: float, cost_rate: float,
                          "(sums of nonnegative rewards cannot shrink)")
     per_round = max(p / k for k, p in enumerate(prefix, start=1))
     return _bound(speedup, cost_rate, per_round, "prefix_means")
-
-
-def multiround_threshold_subsets(speedup: float, cost_rate: float,
-                                 round_means) -> float:
-    """Variant quantifying over arbitrary attacked-round subsets, given the
-    individual per-round means. By linearity the worst size-k subset is the
-    k largest means, so the bound is (speedup/cost_rate) * max_k
-    mean-of-k-largest; equals :func:`multiround_threshold` on sorted
-    prefixes and exceeds it when rewards are back-loaded."""
-    means = list(round_means)
-    if not means:
-        raise ValueError("round_means must be non-empty")
-    all_in_range(means, "round_means", 0.0, math.inf, "[]")
-    ordered = sorted(means, reverse=True)
-    best = max(_total(ordered[:k]) / k for k in range(1, len(ordered) + 1))
-    return _bound(speedup, cost_rate, best, "round_means")
 
 
 def grinding_threshold(speedup: float, cost_rate: float, grinding_size: int,
@@ -259,7 +243,7 @@ def esdp(scenario: Scenario,
         ("linear", True, linear),
         ("grinding", s.grinding_size > 1, lambda: grinding_threshold(
             speedup, cost, s.grinding_size,
-            s.reward.expected_max(s.grinding_size, horizon=horizon),
+            s.reward.expected_max(int(s.grinding_size), horizon=horizon),
             s.grinding_cost_exponent)),
         ("abort", s.abort_probability > 0.0, lambda: abort_threshold(
             speedup, cost, mean, s.abort_probability)),

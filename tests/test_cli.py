@@ -234,12 +234,14 @@ class TestThresholdCommand:
         path = tmp_path / "slow_ou.scenario"
         path.write_text(SLOW_OU)
         assert main(["threshold", str(path), "--delay", "650"]) == 3
-        assert capsys.readouterr().out == (
+        captured = capsys.readouterr()
+        assert captured.out == (
             "condition  required delay (s)\n"
             "linear    600\n"
             "grinding  668.665\n"
             "ESDP: 668.665 s (binding: grinding)\n"
             "verdict: INSECURE at delay 650 s\n")
+        assert "Traceback" not in captured.err
 
     def test_unconverged_quadrature_exits_two(self, tmp_path, monkeypatch,
                                               capsys):
@@ -278,18 +280,21 @@ class TestThresholdCommand:
         assert "grinding" in captured.out and "mean profit: " in captured.out
         assert captured.err == ""
 
-    @pytest.mark.parametrize("mean, draws", [(1e300, 10 ** 15), (1e308, 2)])
+    @pytest.mark.parametrize("mean, variance, draws", [
+        (1e300, 1e300, 10 ** 15), (1e308, 1e300, 2), (10.0, 1.0, 10 ** 15)])
     def test_lognormal_grinding_past_the_float_range_answers(
-            self, mean, draws, tmp_path, capsys):
-        # G * mean passes the largest float, while E[max] does not
+            self, mean, variance, draws, tmp_path, capsys):
+        # G * mean passes the largest float, while E[max] does not; and
+        # E[max] of 10^15 draws from a light tail
         path = tmp_path / "lognormal.scenario"
         path.write_text(BASELINE.replace(
             "reward.kind = exponential\nreward.mean = 10.0",
             f"reward.kind = lognormal\nreward.mean = {mean!r}\n"
-            f"reward.variance = 1e300\ngrinding_size = {draws}"))
+            f"reward.variance = {variance!r}\ngrinding_size = {draws}"))
         assert main(["threshold", str(path)]) in (0, 3)
         captured = capsys.readouterr()
         assert "grinding" in captured.out
+        assert "Traceback" not in captured.err
         assert captured.err == ""
 
     def test_empirical_samples_near_the_largest_float(self, tmp_path,
@@ -302,6 +307,7 @@ class TestThresholdCommand:
         captured = capsys.readouterr()
         assert "ESDP: 1e+298 s (binding: linear)" in captured.out
         assert "verdict: SECURE" in captured.out
+        assert "Traceback" not in captured.err
         assert captured.err == ""
 
     def test_json_report_written(self, baseline_file, tmp_path, capsys):
@@ -391,6 +397,7 @@ class TestSolveCommand:
                        "--nodes", nodes, "--out", str(tmp_path / "o")])
         captured = capsys.readouterr()
         assert rc == code
+        assert "Traceback" not in captured.err
         if code == 2:
             assert captured.err == ("error: quadrature_nodes must be an "
                                     "integer >= 1 and <= 100 (got 400)\n")
@@ -445,8 +452,8 @@ class TestSimulateCommand:
                      "--seed", str(seed)]) == code
         captured = capsys.readouterr()
         if code == 2:
-            assert "seed must be an integer >= 0 and <= 1.84467e+19 " \
-                f"(got {seed})" in captured.err
+            assert "seed must be an integer >= 0 and " \
+                f"<= 18446744073709551615 (got {seed})" in captured.err
         else:
             assert f"seed: {seed}" in captured.out
 
@@ -478,6 +485,7 @@ class TestSimulateCommand:
                      "--trials", "10"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
+        assert "Traceback" not in captured.err
         assert captured.err == ("error: attack cost cost_rate*delay/speedup "
                                 "must be finite (got inf at delay 1e+300)\n")
 
@@ -685,11 +693,12 @@ class TestMiscellaneous:
         scenario = tmp_path / "s.scenario"
         scenario.write_text(BASELINE)
         proc = subprocess.run(
-            [sys.executable, "-m", "esdp.cli", "threshold", str(scenario),
-             "--delay", "1"], capture_output=True, text=True,
+            [sys.executable, "-W", "error", "-m", "esdp.cli", "threshold",
+             str(scenario), "--delay", "1"], capture_output=True, text=True,
             cwd=Path(esdp.__file__).parents[1])
         assert proc.returncode == 3
         assert "verdict: INSECURE" in proc.stdout
+        assert "Traceback" not in proc.stderr
 
 
 def run_fresh(code, *args):
@@ -726,6 +735,7 @@ class TestImportContract:
                          *(a.format(path=baseline_file) for a in argv))
         assert proc.returncode == code, proc.stderr
         assert proc.stdout.splitlines()[-1] == "numpy loaded: False"
+        assert "Traceback" not in proc.stderr
         assert proc.stderr == ""
 
     def test_lognormal_grinding_report_is_unchanged(self, tmp_path):

@@ -48,7 +48,6 @@ from esdp.thresholds import (
     grinding_threshold,
     linear_threshold,
     multiround_threshold,
-    multiround_threshold_subsets,
     robust_interval_threshold,
 )
 
@@ -108,8 +107,6 @@ ENTRIES = [
     ("protocol_means", "real",
      lambda x: composition_threshold(3.0, 0.05, (1.0, x))),
     ("prefix_means", "real", lambda x: multiround_threshold(3.0, 0.05, (x,))),
-    ("round_means", "real",
-     lambda x: multiround_threshold_subsets(3.0, 0.05, (1.0, x))),
     ("speedup", "finite", lambda x: grinding_threshold(x, 0.05, 4, 20.0)),
     ("cost_rate", "finite", lambda x: grinding_threshold(3.0, x, 4, 20.0)),
     ("grinding_size", "count",

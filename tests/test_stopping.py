@@ -126,7 +126,8 @@ class TestVerdict:
         verdict = initial_security_verdict(vg)
         dv = vg.v_values[1] - vg.v_values[0]
         env = vg.scenario.env
-        for v, secure in zip(verdict.reward_values, verdict.secure):
+        for v, secure in zip(vg.v_values,
+                             vg.values[0, :, 0] <= verdict.tolerance):
             threshold = linear_threshold(env.speedup, env.cost_rate, v)
             if secure:
                 assert env.honest_delay >= threshold - 60.0 * dv - 1e-9
@@ -139,7 +140,8 @@ class TestVerdict:
                       GridSpec(time_step=1.0, reward_points=5,
                                reward_max=0.0))
         verdict = initial_security_verdict(vg)
-        assert verdict.secure.all()
+        assert (vg.values[0, :, 0] <= verdict.tolerance).all()
+        assert verdict.secure is True
         assert verdict.flip_reward is None
 
     def test_one_step_horizon_insecure_above_cost(self):
@@ -150,6 +152,8 @@ class TestVerdict:
         verdict = initial_security_verdict(vg)
         assert verdict.flip_reward is not None
         assert verdict.flip_reward <= 1.0  # anything past one step of cost
+        assert verdict.initial_value == initial_value(vg, 5.0)
+        assert verdict.secure is False
 
 
 class TestStructure:

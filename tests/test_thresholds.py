@@ -32,9 +32,15 @@ from esdp.thresholds import (
     grinding_threshold,
     linear_threshold,
     multiround_threshold,
-    multiround_threshold_subsets,
     robust_interval_threshold,
 )
+
+
+def sorted_prefix_sums(means):
+    """Exact sums of the k largest means, k = 1, 2, ...: the prefix means
+    of the worst attacked-round subset of each size."""
+    ordered = sorted(means, reverse=True)
+    return [math.fsum(ordered[:k]) for k in range(1, len(ordered) + 1)]
 
 
 class TestExpectedProfit:
@@ -170,7 +176,7 @@ class TestMultiround:
         with pytest.raises(ValueError, match="non-decreasing"):
             multiround_threshold(3.0, 0.05, (10.0, 9.0))
 
-    def test_subset_variant_matches_enumeration(self):
+    def test_sorted_prefix_sums_match_subset_enumeration(self):
         rng = np.random.default_rng(11)
         for _ in range(30):
             n = int(rng.integers(1, 11))
@@ -178,12 +184,13 @@ class TestMultiround:
             best = max(sum(subset) / len(subset)
                        for size in range(1, n + 1)
                        for subset in itertools.combinations(means, size))
-            assert multiround_threshold_subsets(3.0, 0.05, means) == \
+            assert multiround_threshold(
+                3.0, 0.05, sorted_prefix_sums(means)) == \
                 pytest.approx(3.0 / 0.05 * best, rel=1e-12)
 
-    def test_subset_variant_overflowing_sum_needs_an_infinite_delay(self):
-        assert multiround_threshold_subsets(3.0, 0.05, (1e308, 1e308)) == \
-            math.inf
+    def test_infinite_sorted_prefix_sum_needs_an_infinite_delay(self):
+        assert multiround_threshold(
+            3.0, 0.05, sorted_prefix_sums((1e308, math.inf))) == math.inf
 
     @pytest.mark.parametrize("helper, means", [
         (composition_threshold, (math.nan, 1.0)),
@@ -191,17 +198,15 @@ class TestMultiround:
         (multiround_threshold, (math.nan, 1.0)),
         (multiround_threshold, (1.0, math.nan)),
         (multiround_threshold, (-1.0, 0.0)),
-        (multiround_threshold_subsets, (math.nan, 1.0)),
-        (multiround_threshold_subsets, (1.0, math.nan)),
     ])
     def test_nan_or_negative_mean_rejected(self, helper, means):
         with pytest.raises(ValueError, match="must all be >= 0"):
             helper(3.0, 0.05, means)
 
-    def test_subset_variant_dominates_prefix_for_back_loaded_rewards(self):
+    def test_sorted_prefix_dominates_prefix_for_back_loaded_rewards(self):
         means = [1.0, 2.0, 30.0]
         prefix = list(np.cumsum(means))
-        assert multiround_threshold_subsets(3.0, 0.05, means) > \
+        assert multiround_threshold(3.0, 0.05, sorted_prefix_sums(means)) > \
             multiround_threshold(3.0, 0.05, prefix)
 
     @given(speedup=st.floats(1.0, 1e6), cost=st.floats(1e-6, 1e3),
@@ -431,6 +436,15 @@ class TestReportAggregation:
             "multiround"}
         assert report.esdp == max(report.required_delays.values())
         assert report.required_delays[report.binding_condition] == report.esdp
+
+    @pytest.mark.parametrize("reward", [
+        Constant(10.0), Exponential(10.0), Lognormal(10.0, 1e4),
+        Empirical((1.0, 5.0, 40.0)), Bounded(30.0),
+        MarkovOU(10.0, 12.0, 0.1, 2.0)], ids=lambda reward: reward.kind)
+    def test_whole_float_grinding_size_grinds_as_its_int(self, baseline_env,
+                                                         reward):
+        assert esdp(Scenario(baseline_env, reward, grinding_size=4.0)) == \
+            esdp(Scenario(baseline_env, reward, grinding_size=4))
 
     def test_verdict_secure_at_exact_equality(self, baseline_scenario):
         report = esdp(baseline_scenario, candidate_delay=600.0)
